@@ -471,6 +471,8 @@ def _layer_entries(rng: np.random.Generator):
         return (lambda wm, x: mobius_matvec(wm, x, p), [w, ball_input((4, 3))])
     yield entry("mobius_matvec", build_matvec)
 
+    yield from _clamp_entries(entry, p)
+
     def build_linear():
         layer = HyperbolicLinear(3, 5, rng)
         layer.b.data = random_ball_points(rng, (5,), max_norm=0.3)
@@ -518,6 +520,50 @@ def _layer_entries(rng: np.random.Generator):
         x = Tensor(rng.normal(size=(4, 3, 3)) * 0.3)
         return (lambda xx, *params: ext(xx), [x] + ext.parameters())
     yield entry("pose_motion_extract", build_pose_motion, module="temporal")
+
+
+def _clamp_entries(entry, p: BallParams):
+    """Ball ops with rows past the 1 - eps_ball shell, so that the clamp's
+    radial-projection Jacobian is checked. Every input keeps at least 5 %
+    away from the clamp's kink, where central differences would straddle it.
+    Inputs come from their own generator so that adding these entries moves
+    no other entry's inputs."""
+    rng = np.random.default_rng(4321)
+
+    def rows(shape, lo, hi):
+        return Tensor(random_ball_points(rng, shape, min_norm=lo, max_norm=hi))
+
+    def aligned(u, r, jitter):
+        # a row of norm ~r along unit vector u, tilted by a small random offset
+        v = u + rng.normal(size=u.shape) * jitter
+        return r * v / np.linalg.norm(v)
+
+    def build_add():
+        # x (+) y with x, y near-collinear at norm 0.999 lands within
+        # ~5e-7 of the unit sphere, far past the shell; the rest stay inside
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        x, y = rows((4, 3), 0.1, 0.6), rows((4, 3), 0.1, 0.6)
+        x.data[0], y.data[0] = aligned(u, 0.999, 1e-3), aligned(u, 0.999, 1e-3)
+        return (lambda a, b: mobius_add(a, b, p), [x, y])
+
+    def build_matvec():
+        # gain ~4: a row of norm 0.95 maps to tanh(~7.3), past the shell
+        # (the kink is at tanh(6.1)); rows of norm <= 0.3 stay inside
+        w = Tensor(4.0 * np.eye(3) + rng.normal(size=(3, 3)) * 0.05)
+        x = rows((4, 3), 0.1, 0.3)
+        x.data[0] = aligned(rng.normal(size=3), 0.95, 0.0)
+        return (lambda wm, xx: mobius_matvec(wm, xx, p), [w, x])
+
+    def build_expmap():
+        # tanh(n/2) passes 1 - eps_ball at n ~ 12.2
+        return (lambda v: expmap0(v, p), [rows((4, 3), 15.0, 30.0)])
+
+    yield entry("project_to_ball_clamped",
+                lambda: (lambda x: project_to_ball(x, p), [rows((4, 3), 1.2, 3.0)]))
+    yield entry("expmap0_clamped", build_expmap)
+    yield entry("mobius_add_clamped", build_add)
+    yield entry("mobius_matvec_clamped", build_matvec)
 
 
 def _block_entries(rng: np.random.Generator):
