@@ -2,9 +2,14 @@
 
 Points live in the open unit ball (trailing axis is the embedding dimension,
 any leading batch axes). Curvature is fixed at 1; all formulas are for the
-unit ball. Every producing operation ends with a projection that clamps
-trailing-vector norms to 1 - eps_ball, which keeps atanh (and therefore
+unit ball. Every producing operation ends with a clamp of trailing-vector
+norms to 1 - eps_ball (:func:`ball_clamp`), which keeps atanh (and therefore
 gradients) bounded.
+
+Each public ball op records one tape node whose backward is the op's
+closed-form vector-Jacobian product (Ganea et al., Hyperbolic Neural
+Networks, 2018), clamp included; the tape engine is interpreter-bound, so
+one node per op instead of 10-20 primitive nodes is what makes them cheap.
 
 Conventions:
 - ball points and tangent vectors are plain :class:`~hypermesh.tensor.Tensor`
@@ -17,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,29 +73,60 @@ def assert_on_ball(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> None:
         raise NumericError(f"ball invariant violated: max norm {n!r}")
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=-1, keepdims=True)
+
+
+def _smoothed_norm(x: np.ndarray, p: BallParams) -> np.ndarray:
+    return np.sqrt(_rowdot(x, x) + p.eps_norm * p.eps_norm)
+
+
+def _atanh(n: np.ndarray) -> np.ndarray:
+    if not np.all(n < 1.0):
+        raise NumericError("atanh: input outside the open interval (-1, 1)")
+    return np.arctanh(n)
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def ball_clamp(z: np.ndarray, p: BallParams = DEFAULT_PARAMS
+               ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Rescale trailing vectors of ``z`` with norm > 1 - eps_ball onto that shell.
+
+    Array-level core of every producing ball op and of the optimizer's
+    re-projection. Returns the clamped array and its vector-Jacobian
+    product: the identity on rows left inside, the radial-projection
+    Jacobian (1 - eps_ball) / ||z|| (I - u u^T), u = z / ||z||, on rescaled
+    rows. When no row is rescaled, ``z`` itself is returned.
+    """
+    if not np.all(np.isfinite(z)):
+        raise NumericError("ball clamp: input contains NaN/Inf")
+    max_norm = 1.0 - p.eps_ball
+    norms = np.sqrt(_rowdot(z, z))
+    outside = norms > max_norm
+    if not outside.any():
+        return z, _identity
+    safe = np.maximum(norms, p.eps_norm)
+    ratio = max_norm / safe
+
+    def vjp(g):
+        unit = z / safe
+        return np.where(outside, ratio * (g - _rowdot(g, unit) * unit), g)
+
+    return z * np.where(outside, ratio, 1.0), vjp
+
+
 def project_to_ball(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     """Rescale trailing vectors with norm > 1 - eps_ball back onto that shell.
 
     Vectors already inside are untouched (identity gradient); rescaled
-    vectors get the radial-projection Jacobian.
+    vectors get the radial-projection Jacobian. See :func:`ball_clamp`.
     """
     x = T.as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("project_to_ball: input contains NaN/Inf")
-    max_norm = 1.0 - p.eps_ball
-    norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    safe = np.maximum(norms, p.eps_norm)
-    scale = np.where(norms > max_norm, max_norm / safe, 1.0)
-    data = x.data * scale
-
-    def backward(g):
-        inside = norms <= max_norm
-        unit = x.data / safe
-        radial = (g * unit).sum(axis=-1, keepdims=True) * unit
-        g_out = np.where(inside, g, (max_norm / safe) * (g - radial))
-        return (g_out,)
-
-    return T._make(data, "project_to_ball", (x,), backward)
+    data, vjp = ball_clamp(x.data, p)
+    return T._make(data, "project_to_ball", (x,), lambda g: (vjp(g),))
 
 
 def conformal_factor(x: Tensor) -> Tensor:
@@ -105,29 +142,55 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     Closed form:
         ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
         / (1 + 2<x,y> + ||x||^2 ||y||^2)
-    Non-commutative; the origin is the two-sided identity.
+    Non-commutative; the origin is the two-sided identity. One tape node;
+    the operands broadcast against each other (e.g. a bias ``y`` of shape [n]).
     """
     x, y = T.as_tensor(x), T.as_tensor(y)
     if x.shape[-1] != y.shape[-1]:
         raise ShapeError(f"mobius_add trailing dims differ: {x.shape} vs {y.shape}")
-    xy = (x * y).sum(axis=-1, keepdims=True)
-    x2 = (x * x).sum(axis=-1, keepdims=True)
-    y2 = (y * y).sum(axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
+    xd, yd = x.data, y.data
+    xy, x2, y2 = _rowdot(xd, yd), _rowdot(xd, xd), _rowdot(yd, yd)
+    a = 1.0 + 2.0 * xy + y2
+    b = 1.0 - x2
+    num = a * xd + b * yd
     den = 1.0 + 2.0 * xy + x2 * y2
-    return project_to_ball(num / den, p)
+    data, vjp = ball_clamp(num / den, p)
+
+    def backward(g):
+        g_num = vjp(g) / den
+        g_den = -_rowdot(g_num, num) / den
+        g_a = _rowdot(g_num, xd)
+        g_xy = 2.0 * (g_a + g_den)
+        g_x2 = g_den * y2 - _rowdot(g_num, yd)
+        g_y2 = g_a + g_den * x2
+        gx = a * g_num + g_xy * yd + 2.0 * g_x2 * xd
+        gy = b * g_num + g_xy * xd + 2.0 * g_y2 * yd
+        return T._unbroadcast(gx, x.shape), T._unbroadcast(gy, y.shape)
+
+    return T._make(data, "mobius_add", (x, y), backward)
 
 
 def expmap0(v: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     """Exponential map at the origin: tanh(||v||/2) v / ||v||.
 
     Maps tangent (Euclidean) vectors onto the ball; the origin maps to
-    itself. The projection at the end only fires for extreme inputs where
+    itself. The clamp at the end only fires for extreme inputs where
     tanh saturates past 1 - eps_ball.
     """
     v = T.as_tensor(v)
-    n = T.l2norm(v, axis=-1, keepdims=True, eps=p.eps_norm)
-    return project_to_ball(v * (T.tanh(0.5 * n) / n), p)
+    vd = v.data
+    n = _smoothed_norm(vd, p)
+    t = np.tanh(0.5 * n)
+    s = t / n
+    data, vjp = ball_clamp(vd * s, p)
+
+    def backward(g):
+        gz = vjp(g)
+        # d s / d n = (1 - t^2) / (2 n) - t / n^2; d n / d v = v / n
+        ds = (0.5 * (1.0 - t * t) - s) / n
+        return (gz * s + (_rowdot(gz, vd) * ds / n) * vd,)
+
+    return T._make(data, "expmap0", (v,), backward)
 
 
 def logmap0(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
@@ -136,8 +199,18 @@ def logmap0(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     Exact inverse of :func:`expmap0` away from the clamp shell.
     """
     x = T.as_tensor(x)
-    n = T.l2norm(x, axis=-1, keepdims=True, eps=p.eps_norm)
-    return x * (2.0 * T.atanh(n) / n)
+    xd = x.data
+    n = _smoothed_norm(xd, p)
+    m = 2.0 * _atanh(n)
+    s = m / n
+
+    def backward(g):
+        # s = m / n with m = 2 atanh(n): d s / d n = -m / n^2 + 2 / (n (1 - n^2))
+        g_s = _rowdot(g, xd)
+        g_n = -g_s * m / (n * n) + g_s / n * 2.0 / (1.0 - n * n)
+        return (g * s + g_n * xd / n,)
+
+    return T._make(xd * s, "logmap0", (x,), backward)
 
 
 def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
@@ -150,11 +223,27 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
     w, x = T.as_tensor(w), T.as_tensor(x)
     if w.ndim != 2 or w.shape[1] != x.shape[-1]:
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")
-    if x.ndim == 1:
-        out = mobius_matvec(w, x.reshape(1, x.shape[0]), p)
-        return out.reshape(out.shape[-1])
-    y = x @ w.T
-    nx = T.l2norm(x, axis=-1, keepdims=True, eps=p.eps_norm)
-    ny = T.l2norm(y, axis=-1, keepdims=True, eps=p.eps_norm)
-    t = T.tanh((ny / nx) * T.atanh(nx))
-    return project_to_ball(y * (t / ny), p)
+    wd, xd = w.data, x.data
+    y = xd @ wd.T
+    nx = _smoothed_norm(xd, p)
+    ny = _smoothed_norm(y, p)
+    atx = _atanh(nx)
+    r = ny / nx
+    t = np.tanh(r * atx)
+    s = t / ny
+    data, vjp = ball_clamp(y * s, p)
+
+    def backward(g):
+        # z = y s, s = t / ny, t = tanh(u), u = r atanh(nx), r = ny / nx
+        gz = vjp(g)
+        g_t = _rowdot(gz, y) / ny
+        g_u = g_t * (1.0 - t * t)
+        g_r = g_u * atx
+        g_ny = g_r / nx - g_t * s
+        g_nx = g_u * r / (1.0 - nx * nx) - g_r * r / nx
+        gy = gz * s + (g_ny / ny) * y
+        gx = gy @ wd + (g_nx / nx) * xd
+        gw = gy.reshape(-1, gy.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+        return gw, gx
+
+    return T._make(data, "mobius_matvec", (w, x), backward)

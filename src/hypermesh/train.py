@@ -14,7 +14,7 @@ from . import tensor as T
 from .config import PipelineConfig
 from .errors import NumericError
 from .losses import euclidean_losses, hyperbolic_mesh_loss, total_loss
-from .manifold import BallParams
+from .manifold import BallParams, ball_clamp
 from .metrics import write_metric_report
 from .pipeline import MeshPipeline
 from .synth import SyntheticScene, fibonacci_sphere, synth_generate
@@ -43,13 +43,7 @@ class SGD:
             v += p.grad
             p.data = p.data - self.lr * v
             if id(p) in self.ball_set:
-                self._reproject(p)
-
-    def _reproject(self, p) -> None:
-        max_norm = 1.0 - self.ball.eps_ball
-        norms = np.sqrt((p.data * p.data).sum(axis=-1, keepdims=True))
-        scale = np.where(norms > max_norm, max_norm / np.maximum(norms, 1e-300), 1.0)
-        p.data = p.data * scale
+                p.data, _ = ball_clamp(p.data, self.ball)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -165,6 +159,9 @@ def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
         scene = synth_generate(cfg)
     pipeline = build_pipeline(cfg, scene)
     pipeline.load_state_dict(load_checkpoint(checkpoint_manifest))
+    # nothing here runs backward: untracked parameters keep the tape empty
+    for param in pipeline.parameters():
+        param.requires_grad = False
     results = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
                                     disable_hmo=cfg.disable_hmo)
     pred_fine = np.stack([f.m_out.vertices.data for f in results])

@@ -5,12 +5,15 @@ import pytest
 
 from hypermesh.cli import main
 from hypermesh.config import PipelineConfig
+from hypermesh import tensor as T
 from hypermesh.errors import ConfigError, ContractError
+from hypermesh.manifold import BallParams
+from hypermesh.metrics import write_metric_report
 from hypermesh.synth import load_scene, save_scene, synth_generate
 from hypermesh.tensor import Tensor
 from hypermesh.tensor_io import (load_checkpoint, load_tensor, save_checkpoint,
                                  save_tensor)
-from hypermesh.train import build_pipeline, train_toy
+from hypermesh.train import SGD, build_pipeline, evaluate, train_toy
 
 SMALL = dict(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
              n_coarse=6, n_fine=10, steps=0)
@@ -149,6 +152,50 @@ def test_train_checkpoint_reproduces_forward(tmp_path):
     pipe.load_state_dict(load_checkpoint(result.checkpoint_path))
     out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
     assert np.all(np.isfinite(out[0].m_out.vertices.data))
+
+
+def test_sgd_step_clamps_ball_rows_onto_the_shell():
+    ball = BallParams()
+    b = Tensor(np.array([[0.3, -0.2, 0.1], [0.9, 0.3, 0.0]]), requires_grad=True)
+    b.grad = np.array([[0.1, 0.2, -0.3], [-1.0, -0.5, 0.0]])
+    inside = b.data[0] - 0.5 * b.grad[0]
+    pushed = b.data[1] - 0.5 * b.grad[1]
+    SGD([b], [b], lr=0.5, ball=ball).step()
+    np.testing.assert_array_equal(b.data[0], inside)
+    assert abs(np.linalg.norm(b.data[1]) - (1.0 - ball.eps_ball)) < 1e-15
+    np.testing.assert_allclose(b.data[1] / np.linalg.norm(b.data[1]),
+                               pushed / np.linalg.norm(pushed), atol=1e-15)
+
+
+def test_evaluate_records_no_tape(tmp_path, monkeypatch):
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    manifest = save_checkpoint(tmp_path / "ckpt", build_pipeline(cfg, scene).state_dict())
+
+    # the report the same forward writes with trainable parameters
+    pipe = build_pipeline(cfg, scene)
+    pipe.load_state_dict(load_checkpoint(manifest))
+    frames = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert frames[0].m_out.vertices.requires_grad
+    fine = np.stack([f.m_out.vertices.data for f in frames])
+    joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, fine)
+    write_metric_report(tmp_path / "taped.csv", joints, scene.poses, fine,
+                        scene.fine_meshes, root_idx=cfg.root_joint)
+
+    made = {"all": 0, "taped": 0}
+    make = T._make
+
+    def counting_make(*args):
+        out = make(*args)
+        made["all"] += 1
+        made["taped"] += out.requires_grad
+        return out
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    evaluate(cfg, manifest, tmp_path / "report.csv", scene=scene)
+    assert made["all"] > 0
+    assert made["taped"] == 0
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "taped.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- cli

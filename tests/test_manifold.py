@@ -112,6 +112,37 @@ def test_project_to_ball_rejects_nonfinite():
         project_to_ball(Tensor([np.nan, 0.0]))
 
 
+def test_fused_ops_reject_nonfinite_and_atanh_domain():
+    with pytest.raises(NumericError):
+        expmap0(Tensor([np.nan, 0.0]))
+    with pytest.raises(NumericError):
+        mobius_add(Tensor([np.nan, 0.0]), Tensor([0.1, 0.0]))
+    with pytest.raises(NumericError, match="atanh"):
+        logmap0(Tensor([1.0, 0.0]))
+    with pytest.raises(NumericError, match="atanh"):
+        mobius_matvec(Tensor(np.eye(2)), Tensor([0.8, 0.7]))
+
+
+def _leaf(data):
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+@pytest.mark.parametrize("op, inputs", [
+    (mobius_add, lambda: [_leaf([[0.1, 0.2], [0.3, -0.1]]), _leaf([0.2, 0.1])]),
+    (mobius_matvec, lambda: [_leaf([[0.5, 0.1], [0.2, 0.3], [0.1, 0.1]]),
+                             _leaf([0.3, -0.2])]),
+    (expmap0, lambda: [_leaf([[20.0, 0.0], [0.3, 0.4]])]),
+    (logmap0, lambda: [_leaf([[0.1, 0.2], [0.0, 0.0]])]),
+    (project_to_ball, lambda: [_leaf([[3.0, 4.0], [0.1, 0.2]])]),
+])
+def test_each_ball_op_is_one_tape_node(op, inputs):
+    args = inputs()
+    out = op(*args)
+    assert out._op == op.__name__
+    assert len(out._parents) == len(args)
+    assert all(p is a for p, a in zip(out._parents, args))
+
+
 def test_matvec_agrees_with_map_composition():
     check_matvec_formulations(cases=100, seed=9)
 
