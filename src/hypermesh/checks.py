@@ -533,18 +533,14 @@ def _clamp_entries(entry, p: BallParams):
     def rows(shape, lo, hi):
         return Tensor(random_ball_points(rng, shape, min_norm=lo, max_norm=hi))
 
-    def aligned(u, r, jitter):
-        # a row of norm ~r along unit vector u, tilted by a small random offset
-        v = u + rng.normal(size=u.shape) * jitter
-        return r * v / np.linalg.norm(v)
-
     def build_add():
-        # x (+) y with x, y near-collinear at norm 0.999 lands within
-        # ~5e-7 of the unit sphere, far past the shell; the rest stay inside
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
+        # x (+) y for x, y near-collinear at norm 0.999 lands ~5e-7 from the
+        # unit sphere, past the shell; the other rows stay inside
         x, y = rows((4, 3), 0.1, 0.6), rows((4, 3), 0.1, 0.6)
-        x.data[0], y.data[0] = aligned(u, 0.999, 1e-3), aligned(u, 0.999, 1e-3)
+        u = rng.normal(size=3)
+        for t in (x, y):
+            v = u + rng.normal(size=3) * 1e-3
+            t.data[0] = 0.999 * v / np.linalg.norm(v)
         return (lambda a, b: mobius_add(a, b, p), [x, y])
 
     def build_matvec():
@@ -552,7 +548,7 @@ def _clamp_entries(entry, p: BallParams):
         # (the kink is at tanh(6.1)); rows of norm <= 0.3 stay inside
         w = Tensor(4.0 * np.eye(3) + rng.normal(size=(3, 3)) * 0.05)
         x = rows((4, 3), 0.1, 0.3)
-        x.data[0] = aligned(rng.normal(size=3), 0.95, 0.0)
+        x.data[0] = random_ball_points(rng, (3,), min_norm=0.95, max_norm=0.95)
         return (lambda wm, xx: mobius_matvec(wm, xx, p), [w, x])
 
     def build_expmap():

@@ -142,8 +142,8 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     Closed form:
         ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
         / (1 + 2<x,y> + ||x||^2 ||y||^2)
-    Non-commutative; the origin is the two-sided identity. One tape node;
-    the operands broadcast against each other (e.g. a bias ``y`` of shape [n]).
+    Non-commutative; the origin is the two-sided identity. The operands
+    broadcast against each other (e.g. a bias ``y`` of shape [n]).
     """
     x, y = T.as_tensor(x), T.as_tensor(y)
     if x.shape[-1] != y.shape[-1]:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hypermesh import tensor as T
 from hypermesh.cli import main
 from hypermesh.config import PipelineConfig
-from hypermesh import tensor as T
 from hypermesh.errors import ConfigError, ContractError
 from hypermesh.manifold import BallParams
 from hypermesh.metrics import write_metric_report

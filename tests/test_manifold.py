@@ -123,20 +123,21 @@ def test_fused_ops_reject_nonfinite_and_atanh_domain():
         mobius_matvec(Tensor(np.eye(2)), Tensor([0.8, 0.7]))
 
 
-def _leaf(data):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+# one input set per public ball op; the matvec input is 1-D, expmap0 and
+# project_to_ball each have a row past the shell
+ONE_NODE_INPUTS = [
+    (mobius_add, ([[0.1, 0.2], [0.3, -0.1]], [0.2, 0.1])),
+    (mobius_matvec, ([[0.5, 0.1], [0.2, 0.3], [0.1, 0.1]], [0.3, -0.2])),
+    (expmap0, ([[20.0, 0.0], [0.3, 0.4]],)),
+    (logmap0, ([[0.1, 0.2], [0.0, 0.0]],)),
+    (project_to_ball, ([[3.0, 4.0], [0.1, 0.2]],)),
+]
 
 
-@pytest.mark.parametrize("op, inputs", [
-    (mobius_add, lambda: [_leaf([[0.1, 0.2], [0.3, -0.1]]), _leaf([0.2, 0.1])]),
-    (mobius_matvec, lambda: [_leaf([[0.5, 0.1], [0.2, 0.3], [0.1, 0.1]]),
-                             _leaf([0.3, -0.2])]),
-    (expmap0, lambda: [_leaf([[20.0, 0.0], [0.3, 0.4]])]),
-    (logmap0, lambda: [_leaf([[0.1, 0.2], [0.0, 0.0]])]),
-    (project_to_ball, lambda: [_leaf([[3.0, 4.0], [0.1, 0.2]])]),
-])
-def test_each_ball_op_is_one_tape_node(op, inputs):
-    args = inputs()
+@pytest.mark.parametrize("op, arrays", ONE_NODE_INPUTS,
+                         ids=[op.__name__ for op, _ in ONE_NODE_INPUTS])
+def test_each_ball_op_is_one_tape_node(op, arrays):
+    args = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
     out = op(*args)
     assert out._op == op.__name__
     assert len(out._parents) == len(args)
