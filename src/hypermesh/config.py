@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
-from .manifold import BallParams
+from .errors import ConfigError, ContractError
+from .manifold import POLICIES, BallParams
+
+# accepted value types, by field annotation
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+          "float | None": (numbers.Real, type(None))}
 
 
 @dataclass
@@ -44,11 +49,15 @@ class PipelineConfig:
     # evaluation
     root_joint: int = 0
     # paths
-    topology_path: str = ""
     template_mesh_path: str = ""
     output_dir: str = "out"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
         for name in ("n_joints", "feat_dim", "model_dim", "heads", "n_coarse",
@@ -65,21 +74,24 @@ class PipelineConfig:
             raise ConfigError("n_coarse must be >= n_joints")
         if self.n_fine < self.n_coarse:
             raise ConfigError("n_fine must be >= n_coarse")
-        if self.float_width not in ("wide", "narrow"):
-            raise ConfigError(f"float_width must be 'wide' or 'narrow', got {self.float_width!r}")
+        if self.float_width not in POLICIES:
+            raise ConfigError(
+                f"float_width must be one of {sorted(POLICIES)}, got {self.float_width!r}")
         if not (0 <= self.root_joint < self.n_joints):
             raise ConfigError(f"root_joint {self.root_joint} out of range")
         if self.steps < 0 or self.learning_rate < 0:
             raise ConfigError("steps and learning_rate must be nonnegative")
+        self._ball = POLICIES[self.float_width]
+        if self.eps_ball is not None or self.eps_norm is not None:
+            eps_ball = self._ball.eps_ball if self.eps_ball is None else self.eps_ball
+            eps_norm = eps_ball * 1e-7 if self.eps_norm is None else self.eps_norm
+            try:
+                self._ball = BallParams(eps_ball=eps_ball, eps_norm=eps_norm)
+            except ContractError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def ball_params(self) -> BallParams:
-        if self.eps_ball is None and self.eps_norm is None:
-            if self.float_width == "wide":
-                return BallParams(eps_ball=1e-5, eps_norm=1e-12)
-            return BallParams(eps_ball=1e-4, eps_norm=1e-7)
-        eps_ball = self.eps_ball if self.eps_ball is not None else 1e-5
-        eps_norm = self.eps_norm if self.eps_norm is not None else eps_ball * 1e-7
-        return BallParams(eps_ball=eps_ball, eps_norm=eps_norm)
+        return self._ball
 
     def loss_weights(self):
         from .losses import LossWeights

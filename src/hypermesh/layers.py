@@ -84,6 +84,19 @@ class HyperAdaLN(Module):
         return expmap0(gamma * t_hat + beta, self.params)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of rows q [nq, dim] over k, v [nk, dim]."""
+    nq, dim = q.shape
+    hd = dim // heads
+
+    def split_heads(t: Tensor) -> Tensor:
+        return t.reshape(t.shape[0], heads, hd).transpose((1, 0, 2))
+
+    scores = (split_heads(q) @ split_heads(k).transpose((0, 2, 1))) * (1.0 / math.sqrt(hd))
+    alpha = T.softmax(scores, axis=-1)
+    return (alpha @ split_heads(v)).transpose((1, 0, 2)).reshape(nq, dim)
+
+
 class HyperAttention(Module):
     """Multi-head attention with Möbius Q/K/V projections.
 
@@ -106,28 +119,16 @@ class HyperAttention(Module):
         self.dim = dim
         self.params = params
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        n = t.shape[0]
-        hd = self.dim // self.heads
-        return t.reshape(n, self.heads, hd).transpose((1, 0, 2))
-
     def __call__(self, queries_src: Tensor, keys_src: Tensor) -> Tensor:
         if queries_src.shape[-1] != self.dim or keys_src.shape[-1] != self.dim:
             raise ShapeError(
                 f"attention expects feature dim {self.dim}, got "
                 f"{queries_src.shape} / {keys_src.shape}")
         p = self.params
-        nq = queries_src.shape[0]
-        hd = self.dim // self.heads
-
-        lq = self._split_heads(logmap0(mobius_matvec(self.w_q, queries_src, p), p))
-        lk = self._split_heads(logmap0(mobius_matvec(self.w_k, keys_src, p), p))
-        lv = self._split_heads(logmap0(mobius_matvec(self.w_v, keys_src, p), p))
-
-        scores = (lq @ lk.transpose((0, 2, 1))) * (1.0 / math.sqrt(hd))
-        alpha = T.softmax(scores, axis=-1)
-        ctx = (alpha @ lv).transpose((1, 0, 2)).reshape(nq, self.dim)
-        return expmap0(ctx @ self.w_o.T, p)
+        lq = logmap0(mobius_matvec(self.w_q, queries_src, p), p)
+        lk = logmap0(mobius_matvec(self.w_k, keys_src, p), p)
+        lv = logmap0(mobius_matvec(self.w_v, keys_src, p), p)
+        return expmap0(attention(lq, lk, lv, self.heads) @ self.w_o.T, p)
 
 
 class HyperFFN(Module):

@@ -50,27 +50,13 @@ class BallParams:
                 f"eps_norm must be in (0, eps_ball), got {self.eps_norm}")
 
 
-DEFAULT_PARAMS = BallParams()
-
-# Narrow-float policy; the engine itself computes in float64, these margins
-# are what a 32-bit deployment would need.
-NARROW_PARAMS = BallParams(eps_ball=1e-4, eps_norm=1e-7)
-
-
-def max_trailing_norm(x: Tensor) -> float:
-    """Largest trailing-vector Euclidean norm (plain number, no grad)."""
-    d = x.data
-    if d.size == 0:
-        return 0.0
-    return float(np.sqrt((d * d).sum(axis=-1)).max())
-
-
-def assert_on_ball(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> None:
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("ball point contains NaN/Inf")
-    n = max_trailing_norm(x)
-    if n > 1.0 - p.eps_ball + 1e-12:
-        raise NumericError(f"ball invariant violated: max norm {n!r}")
+# The numerics policies a config selects by ``float_width``. Both are margins
+# for the float64 engine: "narrow" keeps points further from the boundary.
+POLICIES = {
+    "wide": BallParams(),
+    "narrow": BallParams(eps_ball=1e-4, eps_norm=1e-7),
+}
+DEFAULT_PARAMS = POLICIES["wide"]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

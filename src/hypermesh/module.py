@@ -25,10 +25,6 @@ class Module:
                 out[prefix + name] = value
             elif isinstance(value, Module):
                 out.update(value.named_parameters(prefix + name + "."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.update(item.named_parameters(f"{prefix}{name}.{i}."))
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -41,10 +37,6 @@ class Module:
             value = getattr(self, name)
             if isinstance(value, Module):
                 out.extend(value.ball_parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        out.extend(item.ball_parameters())
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:

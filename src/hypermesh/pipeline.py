@@ -9,16 +9,15 @@ row-stochastic matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ContractError, ShapeError, TopologyError
+from .errors import ShapeError, TopologyError
 from .layers import (HyperAdaLN, HyperAttention, HyperFFN, Linear,
                      mobius_residual)
-from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, max_trailing_norm
+from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0
 from .module import Module
 from .temporal import TemporalPriorExtractor
 from .tensor import Tensor
@@ -126,31 +125,24 @@ class OptBlock(Module):
         self.ffn_out = HyperFFN(dim, rng, params)
         self.head = Linear(dim, 3, rng)
         self.params = params
-        self.last_intermediate_norms: list[float] = []
-
-    def _track(self, x: Tensor) -> Tensor:
-        self.last_intermediate_norms.append(max_trailing_norm(x))
-        return x
 
     def __call__(self, m_init: Tensor, tm_row: Tensor, pose: Tensor) -> Tensor:
         if m_init.shape[-1] != 3 or pose.shape[-1] != 3:
             raise ShapeError("mesh and pose streams must have trailing dim 3")
-        self.last_intermediate_norms = []
         p = self.params
 
         mesh_tokens = self.embed_mesh(m_init) + self.pos_mesh
         pose_tokens = self.embed_pose(pose) + self.pos_pose
-        m_hat = self._track(expmap0(mesh_tokens, p))
-        p_hat = self._track(expmap0(pose_tokens, p))
+        m_hat = expmap0(mesh_tokens, p)
+        p_hat = expmap0(pose_tokens, p)
 
-        m_mix = self._track(self.adaln_in(m_hat, tm_row))
-        x_pm = self._track(mobius_residual(self.cross_att(m_mix, p_hat), m_mix, p))
-        x_ada = self._track(self.adaln_mid(x_pm, tm_row))
-        x_m = self._track(mobius_residual(self.ffn_mid(x_ada), x_pm, p))
+        m_mix = self.adaln_in(m_hat, tm_row)
+        x_pm = mobius_residual(self.cross_att(m_mix, p_hat), m_mix, p)
+        x_ada = self.adaln_mid(x_pm, tm_row)
+        x_m = mobius_residual(self.ffn_mid(x_ada), x_pm, p)
 
-        x_p = self._track(mobius_residual(self.self_att(x_m, x_m), x_m, p))
-        m_ref = self._track(
-            mobius_residual(self.ffn_out(self.adaln_out(x_p, tm_row)), x_p, p))
+        x_p = mobius_residual(self.self_att(x_m, x_m), x_m, p)
+        m_ref = mobius_residual(self.ffn_out(self.adaln_out(x_p, tm_row)), x_p, p)
 
         return self.head(logmap0(m_ref, p))
 
@@ -195,30 +187,23 @@ class MeshPipeline(Module):
         self.n_joints = n_joints
         self.feat_dim = feat_dim
 
-    def run_frame(self, tm_pr: Tensor, poses: Tensor, p_motion: Tensor,
-                  frame: int, disable_hmo: bool = False) -> FrameResult:
-        t_frames = tm_pr.shape[0]
-        if not (0 <= frame < t_frames):
-            raise ContractError(f"frame {frame} out of range [0, {t_frames})")
-        tm_row = tm_pr[frame]
-        m_p = self.hpo(self.template, tm_row, poses[frame])
-        if disable_hmo:
-            m_m = Tensor(np.zeros_like(m_p.data))
-        else:
-            m_m = self.hmo(self.template, tm_row, p_motion[frame])
-        m_opt, m_out = fuse_and_upsample(
-            MeshState(m_p, self.topology), MeshState(m_m, self.topology))
-        return FrameResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out)
-
     def run_sequence(self, poses: Tensor, feats: Tensor,
                      disable_hmo: bool = False) -> list[FrameResult]:
         if poses.shape[0] != feats.shape[0]:
             raise ShapeError(
                 f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
-        prior = self.prior(poses, feats)
-        return [self.run_frame(prior.tm_pr, poses, prior.p_motion, t, disable_hmo)
-                for t in range(poses.shape[0])]
-
-    def max_intermediate_norm(self) -> float:
-        norms = self.hpo.last_intermediate_norms + self.hmo.last_intermediate_norms
-        return max(norms) if norms else 0.0
+        tm_pr, p_motion = self.prior(poses, feats)
+        results = []
+        for t in range(poses.shape[0]):
+            # one slice shared by both blocks: slicing twice would add a tape
+            # node and change how the row's gradient is summed
+            tm_row = tm_pr[t]
+            m_p = self.hpo(self.template, tm_row, poses[t])
+            if disable_hmo:
+                m_m = Tensor(np.zeros_like(m_p.data))
+            else:
+                m_m = self.hmo(self.template, tm_row, p_motion[t])
+            m_opt, m_out = fuse_and_upsample(
+                MeshState(m_p, self.topology), MeshState(m_m, self.topology))
+            results.append(FrameResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out))
+        return results

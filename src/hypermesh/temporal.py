@@ -8,24 +8,13 @@ plus a learned projection of the pose motion codes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .layers import Linear, _uniform
+from .layers import Linear, _uniform, attention
 from .module import Module
 from .tensor import Tensor
-
-
-@dataclass
-class MotionPrior:
-    """Fused temporal prior: tm_pr [T, D_f] and pose motion codes [T, J, 3]."""
-
-    tm_pr: Tensor
-    p_motion: Tensor
 
 
 class GruCell(Module):
@@ -79,22 +68,11 @@ class EuclideanAttention(Module):
         self.heads = heads
         self.dim = dim
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        n = t.shape[0]
-        hd = self.dim // self.heads
-        return t.reshape(n, self.heads, hd).transpose((1, 0, 2))
-
     def __call__(self, queries_src: Tensor, keys_src: Tensor | None = None) -> Tensor:
         if keys_src is None:
             keys_src = queries_src
-        nq = queries_src.shape[0]
-        hd = self.dim // self.heads
-        q = self._split_heads(queries_src @ self.w_q.T)
-        k = self._split_heads(keys_src @ self.w_k.T)
-        v = self._split_heads(keys_src @ self.w_v.T)
-        scores = (q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(hd))
-        alpha = T.softmax(scores, axis=-1)
-        ctx = (alpha @ v).transpose((1, 0, 2)).reshape(nq, self.dim)
+        ctx = attention(queries_src @ self.w_q.T, keys_src @ self.w_k.T,
+                        keys_src @ self.w_v.T, self.heads)
         return ctx @ self.w_o.T
 
 
@@ -142,7 +120,9 @@ class TemporalPriorExtractor(Module):
         self.feat_dim = feat_dim
         self.n_joints = n_joints
 
-    def fuse(self, feats: Tensor, p_motion: Tensor) -> MotionPrior:
+    def __call__(self, poses: Tensor, feats: Tensor) -> tuple[Tensor, Tensor]:
+        """Fused prior tm_pr [T, D_f] and pose motion codes p_motion [T, J, 3]."""
+        p_motion = self.pose_motion(poses)
         t_frames = feats.shape[0]
         if t_frames % 2 != 0:
             raise ContractError(f"sequence length must be even, got {t_frames}")
@@ -155,7 +135,4 @@ class TemporalPriorExtractor(Module):
         mixed = self.msa(tf_cont)
         motion_flat = p_motion.reshape(t_frames, 3 * self.n_joints)
         tm_pr = mixed + self.motion_proj(motion_flat)
-        return MotionPrior(tm_pr=tm_pr, p_motion=p_motion)
-
-    def __call__(self, poses: Tensor, feats: Tensor) -> MotionPrior:
-        return self.fuse(feats, self.pose_motion(poses))
+        return tm_pr, p_motion

@@ -2,8 +2,8 @@
 
 Values are float64 numpy arrays wrapped in :class:`Tensor`. Every primitive
 records a backward closure; calling ``backward()`` on a scalar walks the tape
-in reverse topological order and accumulates gradients into every tensor with
-``requires_grad`` set.
+in reverse topological order and accumulates gradients into the leaf tensors
+(those created with ``requires_grad`` set, not by an op).
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -72,8 +66,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode pass from a scalar output.
 
-        Accumulates into ``.grad`` of every reachable tensor that has
-        ``requires_grad``; each graph node is visited exactly once.
+        Accumulates into ``.grad`` of every reachable leaf with
+        ``requires_grad``; gradients are kept only on leaves, never on tensors
+        made by an op. Each graph node is visited exactly once.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar tensor")
@@ -98,9 +93,9 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -299,27 +294,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                      for i in range(len(ts)))
 
     return _make(data, "concat", tuple(ts), backward)
-
-
-def split(a: Tensor, sections: int, axis: int = 0) -> list[Tensor]:
-    """Split into equal sections along an axis (slice-backed)."""
-    a = as_tensor(a)
-    n = a.shape[axis]
-    if n % sections != 0:
-        raise ShapeError(f"cannot split axis of size {n} into {sections} equal parts")
-    step = n // sections
-    out = []
-    for i in range(sections):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(i * step, (i + 1) * step)
-        out.append(a[tuple(idx)])
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in ts]
-    return concat(expanded, axis=axis)
 
 
 # -- reductions --------------------------------------------------------------

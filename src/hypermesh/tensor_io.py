@@ -27,27 +27,43 @@ def save_tensor(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ContractError(f"{path}: truncated {what}")
+    return data
+
+
 def load_tensor(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ContractError(f"{path}: bad magic {magic!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "header"))
         count = int(np.prod(shape)) if rank else 1
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ContractError(f"{path}: truncated payload")
+        payload = _read_exact(fh, 8 * count, path, "payload")
+        if fh.read(1):
+            raise ContractError(f"{path}: trailing bytes after the payload")
         return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+
+
+def _file_name(name: str) -> str:
+    return name.replace("/", "_").replace(".", "_") + ".gymt"
 
 
 def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Path:
     """Write one binary file per parameter plus a JSON manifest; returns manifest path."""
+    owners: dict[str, str] = {}
+    for name in sorted(params):
+        other = owners.setdefault(_file_name(name), name)
+        if other != name:
+            raise ContractError(
+                f"parameters {other!r} and {name!r} map to one file {_file_name(name)!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    for name in sorted(params):
-        fname = name.replace("/", "_").replace(".", "_") + ".gymt"
+    for fname, name in owners.items():
         save_tensor(directory / fname, params[name])
         manifest[name] = {"file": fname, "shape": list(params[name].shape)}
     mpath = directory / "manifest.json"
@@ -63,7 +79,12 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
         manifest = json.load(fh)
     out = {}
     for name, entry in manifest.items():
-        arr = load_tensor(manifest_path.parent / entry["file"])
+        fname = entry["file"]
+        if fname in ("", "..") or Path(fname).name != fname:
+            raise ContractError(
+                f"checkpoint entry {name}: file {fname!r} is not a file name "
+                "in the manifest's directory")
+        arr = load_tensor(manifest_path.parent / fname)
         if list(arr.shape) != entry["shape"]:
             raise ContractError(f"checkpoint entry {name}: shape mismatch")
         out[name] = arr

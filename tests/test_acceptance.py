@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from hypermesh import manifold
 from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               check_matvec_formulations, gru_loop_oracle,
                               hyper_attention_oracle, losses_loop_oracle,
@@ -55,18 +56,43 @@ def test_criterion_3_gradcheck_suite():
             len(rows) > 0 and not failed and elapsed < 120.0)
 
 
-def test_criterion_4_ball_closure_instrumentation():
-    check_ball_closure(cases=100, seed=2)
+def _ball_closure_violations(ball_norms, seeds) -> int:
+    """Forward passes, one per seed, in which a ball-op output left the shell."""
     violations = 0
-    for seed in range(100):
+    for seed in seeds:
         cfg = PipelineConfig(**{**SMALL, "seed": seed})
         scene = synth_generate(cfg)
         pipe = build_pipeline(cfg, scene)
+        ball_norms.reset()
         pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-        if pipe.max_intermediate_norm() > 1.0 - cfg.ball_params().eps_ball + 1e-12:
-            violations += 1
+        violations += ball_norms.exceeds(cfg.ball_params())
+    return violations
+
+
+def test_criterion_4_ball_closure_instrumentation(ball_norms):
+    check_ball_closure(cases=100, seed=2)
+    violations = _ball_closure_violations(ball_norms, range(100))
     _report(4, "ball closure: 100 random parameterizations, "
                f"{violations} violations", violations == 0)
+
+
+def test_criterion_4_check_flags_a_planted_violation(ball_norms, monkeypatch):
+    # every ball op emits its first row between the shell 1 - eps_ball and the
+    # boundary: a row at norm 1 would stop the forward at the next atanh, so
+    # this is the violation only the observer can see
+    clamp = manifold.ball_clamp
+
+    def leaky_clamp(z, p):
+        out, vjp = clamp(z, p)
+        out = out.copy()
+        row = out.reshape(-1, out.shape[-1])[0]
+        row[:] = 0.0
+        row[0] = 1.0 - 0.5 * p.eps_ball
+        return out, vjp
+
+    monkeypatch.setattr(manifold, "ball_clamp", leaky_clamp)
+    assert _ball_closure_violations(ball_norms, [0]) == 1
+    assert ball_norms.max_norm > 1.0 - manifold.DEFAULT_PARAMS.eps_ball
 
 
 def test_criterion_5_oracle_equivalence():

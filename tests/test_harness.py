@@ -60,6 +60,9 @@ def test_float_width_policies():
     narrow = _small_cfg(float_width="narrow").ball_params()
     assert (wide.eps_ball, wide.eps_norm) == (1e-5, 1e-12)
     assert (narrow.eps_ball, narrow.eps_norm) == (1e-4, 1e-7)
+    # an explicit margin overrides one field of the selected policy
+    assert _small_cfg(float_width="narrow", eps_norm=1e-9).ball_params() == BallParams(1e-4, 1e-9)
+    assert _small_cfg(eps_ball=1e-3).ball_params() == BallParams(1e-3, 1e-10)
 
 
 # ---------------------------------------------------------------- tensor io
@@ -89,6 +92,39 @@ def test_tensor_io_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ContractError, match="truncated"):
         load_tensor(path)
+
+
+def test_tensor_io_truncated_header(tmp_path):
+    path = tmp_path / "t.gymt"
+    path.write_bytes(b"GYMTENSR\x02\x00")
+    with pytest.raises(ContractError, match="truncated header"):
+        load_tensor(path)
+    path.write_bytes(b"GYMTENSR\x02\x00\x00\x00\x03\x00\x00\x00")
+    with pytest.raises(ContractError, match="truncated header"):
+        load_tensor(path)
+
+
+def test_tensor_io_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "t.gymt"
+    save_tensor(path, np.arange(6.0).reshape(2, 3))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ContractError, match="trailing"):
+        load_tensor(path)
+
+
+def test_checkpoint_file_entry_must_stay_in_its_directory(tmp_path):
+    save_tensor(tmp_path / "outside.gymt", np.ones(2))
+    manifest = save_checkpoint(tmp_path / "ckpt", {"w": np.ones(2)})
+    for bad in ("../outside.gymt", str(tmp_path / "outside.gymt"), "..", ""):
+        manifest.write_text(json.dumps({"w": {"file": bad, "shape": [2]}}))
+        with pytest.raises(ContractError, match="not a file name"):
+            load_checkpoint(manifest)
+
+
+def test_checkpoint_refuses_colliding_file_names(tmp_path):
+    with pytest.raises(ContractError, match="one file"):
+        save_checkpoint(tmp_path / "ckpt", {"a.b_c": np.ones(1), "a_b.c": np.full(1, 2.0)})
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
@@ -237,6 +273,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "scene")]) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"t_frames": "four"}, "t_frames"),
+    ({"eps_ball": 0.5}, "eps_ball"),
+    ({"topology_path": ""}, "topology_path"),
+], ids=["wrong_type", "out_of_range", "removed_field"])
+def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    assert main(["synth", "--config", str(path),
+                 "--out", str(tmp_path / "scene")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and named in err["message"]
+    assert not (tmp_path / "scene").exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):

@@ -82,9 +82,9 @@ def test_prior_shapes():
     ext = TemporalPriorExtractor(n_joints=3, feat_dim=8, heads=2, rng=rng)
     poses = Tensor(rng.normal(size=(6, 3, 3)) * 0.3)
     feats = Tensor(rng.normal(size=(6, 8)))
-    prior = ext(poses, feats)
-    assert prior.tm_pr.shape == (6, 8)
-    assert prior.p_motion.shape == (6, 3, 3)
+    tm_pr, p_motion = ext(poses, feats)
+    assert tm_pr.shape == (6, 8)
+    assert p_motion.shape == (6, 3, 3)
 
 
 def test_prior_rejects_odd_length():
@@ -108,8 +108,8 @@ def test_prior_depends_on_second_half_features():
     ext = TemporalPriorExtractor(n_joints=2, feat_dim=4, heads=2, rng=rng)
     poses = Tensor(rng.normal(size=(4, 2, 3)) * 0.3)
     feats = rng.normal(size=(4, 4))
-    base = ext(poses, Tensor(feats)).tm_pr.data
+    base = ext(poses, Tensor(feats))[0].data
     feats2 = feats.copy()
     feats2[3] += 1.0
-    bumped = ext(poses, Tensor(feats2)).tm_pr.data
+    bumped = ext(poses, Tensor(feats2))[0].data
     assert np.abs(base - bumped).max() > 1e-8

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from hypermesh import tensor as T
+from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, NumericError, ShapeError
 from hypermesh.gradcheck import gradcheck
+from hypermesh.synth import synth_generate
 from hypermesh.tensor import Tensor
+from hypermesh.train import build_pipeline, scene_loss
 
 
 def test_add_broadcasting_trailing_alignment():
@@ -89,12 +92,42 @@ def test_l2norm_smoothing_eps():
     np.testing.assert_allclose(out.data, [[1e-6]])
 
 
-def test_concat_split_roundtrip():
+def test_concat_of_slices_roundtrip():
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(4, 6)))
-    parts = T.split(x, 2, axis=1)
-    back = T.concat(parts, axis=1)
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    back = T.concat([x[:, :2], x[:, 2:3], x[:, 3:]], axis=1)
     np.testing.assert_array_equal(back.data, x.data)
+    w = rng.normal(size=(4, 6))
+    (back * w).sum().backward()
+    np.testing.assert_array_equal(x.grad, w)
+
+
+def _tape(root: Tensor) -> list[Tensor]:
+    nodes, todo, seen = [], [root], {id(root)}
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return nodes
+
+
+def test_backward_keeps_grads_only_on_leaves():
+    x = Tensor([2.0, -1.0], requires_grad=True)
+    w = Tensor([[0.5, 1.5], [-2.0, 0.25]], requires_grad=True)
+    h = T.tanh(w @ x.reshape(2, 1))
+    loss = (h * h).sum() + (x * 3.0).sum()
+    loss.backward()
+    inner = [n for n in _tape(loss) if n._parents]
+    assert len(inner) >= 8
+    assert all(n.grad is None for n in inner)
+    # d/dz of sum(tanh(z)^2) is 2 tanh(z) (1 - tanh(z)^2), z = W x
+    hd = np.tanh(w.data @ x.data)
+    gz = 2.0 * hd * (1.0 - hd * hd)
+    np.testing.assert_allclose(w.grad, np.outer(gz, x.data), rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(x.grad, w.data.T @ gz + 3.0, rtol=1e-15, atol=1e-15)
 
 
 def test_getitem_advanced_index_grad_accumulates():
@@ -116,3 +149,15 @@ def test_gradcheck_rejects_nonscalar():
     x = Tensor(np.ones((2, 2)))
     with pytest.raises(ContractError):
         gradcheck(lambda t: t * 2.0, [x])
+
+
+def test_scene_loss_backward_keeps_grads_only_on_parameters():
+    cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
+                         n_coarse=6, n_fine=10, steps=0)
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    loss = scene_loss(pipe, scene, cfg)
+    loss.backward()
+    assert all(n.grad is None for n in _tape(loss) if n._parents)
+    assert all(p.grad is not None and p.grad.shape == p.shape
+               for p in pipe.parameters())
