@@ -472,6 +472,7 @@ def _layer_entries(rng: np.random.Generator):
     yield entry("mobius_matvec", build_matvec)
 
     yield from _clamp_entries(entry, p)
+    yield from _frame_axis_entries(entry, p)
 
     def build_linear():
         layer = HyperbolicLinear(3, 5, rng)
@@ -562,6 +563,30 @@ def _clamp_entries(entry, p: BallParams):
     yield entry("mobius_matvec_clamped", build_matvec)
 
 
+def _frame_axis_entries(entry, p: BallParams):
+    """Layers on inputs with a leading frame axis, as the pipeline runs them:
+    token rows [T, n, D] and a per-frame condition [T, 1, D_f]. Inputs come
+    from their own generator, so no other entry's inputs move."""
+    rng = np.random.default_rng(8765)
+
+    def rows(shape):
+        return Tensor(random_ball_points(rng, shape, max_norm=0.6))
+
+    def build_attention():
+        att = HyperAttention(8, 2, rng, p)
+        q, k = rows((3, 4, 8)), rows((3, 5, 8))
+        return (lambda qq, kk, *params: att(qq, kk), [q, k] + att.parameters())
+
+    def build_adaln():
+        layer = HyperAdaLN(8, 6, rng, p)
+        cond = Tensor(rng.normal(size=(3, 1, 6)))
+        return (lambda xx, cc, *params: layer(xx, cc),
+                [rows((3, 4, 8)), cond] + layer.parameters())
+
+    yield entry("hyper_attention_frames", build_attention)
+    yield entry("hyper_adaln_frames", build_adaln)
+
+
 def _block_entries(rng: np.random.Generator):
     from .config import PipelineConfig
     from .synth import synth_generate
@@ -573,13 +598,14 @@ def _block_entries(rng: np.random.Generator):
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8,
                          heads=2, n_coarse=6, n_fine=10, seed=11, steps=0)
 
-    def run_block(block_name):
+    def run_block(block_name, gen=rng, lead=()):
+        # lead=(T,) runs all frames in one call: cond [T, 1, D_f], pose [T, J, 3]
         scene = synth_generate(cfg)
         pipeline = build_pipeline(cfg, scene)
         block = getattr(pipeline, block_name)
-        tm_row = Tensor(rng.normal(size=cfg.feat_dim) * 0.2)
-        pose = Tensor(rng.normal(size=(cfg.n_joints, 3)) * 0.3)
-        m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
+        tm_row = Tensor(gen.normal(size=lead + (1,) * len(lead) + (cfg.feat_dim,)) * 0.2)
+        pose = Tensor(gen.normal(size=lead + (cfg.n_joints, 3)) * 0.3)
+        m_init = Tensor(gen.normal(size=(cfg.n_coarse, 3)) * 0.3)
         inputs = [m_init, tm_row, pose] + block.parameters()
         return gradcheck(
             lambda mi, tr, po, *params: _weighted_sum(block(mi, tr, po), 17),
@@ -588,6 +614,10 @@ def _block_entries(rng: np.random.Generator):
 
     yield entry("hpo_block", lambda: run_block("hpo"))
     yield entry("hmo_block", lambda: run_block("hmo"))
+    # own generators, so that no other entry's inputs move
+    for name in ("hpo", "hmo"):
+        yield entry(f"{name}_block_frames", lambda name=name: run_block(
+            name, np.random.default_rng(sum(map(ord, name)) + 7), (cfg.t_frames,)))
 
     def run_total_loss():
         scene = synth_generate(cfg)

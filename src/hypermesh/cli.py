@@ -7,9 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .config import PipelineConfig
 from .errors import ConfigError, HypermeshError
@@ -119,11 +116,12 @@ def _cmd_export_mesh(args) -> int:
     scene = load_scene(args.scene) if args.scene else synth_generate(cfg)
     pipeline = build_pipeline(cfg, scene)
     pipeline.load_state_dict(load_checkpoint(args.checkpoint))
-    results = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                    disable_hmo=cfg.disable_hmo)
-    if not (0 <= args.frame < len(results)):
-        raise ConfigError(f"frame {args.frame} out of range [0, {len(results)})")
-    verts = results[args.frame].m_out.vertices.data
+    fine = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                 disable_hmo=cfg.disable_hmo).m_out.vertices.data
+    # a negative index would silently pick a frame from the end
+    if not (0 <= args.frame < fine.shape[0]):
+        raise ConfigError(f"frame {args.frame} out of range [0, {fine.shape[0]})")
+    verts = fine[args.frame]
     export_obj(args.out, verts, scene.topology.faces)
     print(json.dumps({"obj": str(args.out), "vertices": int(verts.shape[0])}))
     return 0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ContractError
 from .manifold import POLICIES, BallParams
+from .tensor_io import atomic_write
 
 # accepted value types, by field annotation
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
@@ -113,7 +114,7 @@ class PipelineConfig:
         return cls(**data)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

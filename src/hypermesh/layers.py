@@ -64,6 +64,7 @@ class HyperAdaLN(Module):
     The tangent image of each token row is normalized over the feature axis,
     then scaled/shifted by affine projections of a conditioning vector. The
     scale projection's bias starts at 1 so an untrained layer is near-identity.
+    A cond [T, 1, cond_dim] conditions frame t's token rows on its row t.
     """
 
     def __init__(self, feat_dim: int, cond_dim: int, rng: np.random.Generator,
@@ -85,16 +86,17 @@ class HyperAdaLN(Module):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of rows q [nq, dim] over k, v [nk, dim]."""
-    nq, dim = q.shape
+    """Multi-head scaled dot-product attention of rows q [..., nq, dim] over
+    k, v [..., nk, dim], batched over the leading (frame) axes."""
+    *lead, nq, dim = q.shape
     hd = dim // heads
 
     def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(t.shape[0], heads, hd).transpose((1, 0, 2))
+        return t.reshape(-1, t.shape[-2], heads, hd).transpose((0, 2, 1, 3))
 
-    scores = (split_heads(q) @ split_heads(k).transpose((0, 2, 1))) * (1.0 / math.sqrt(hd))
+    scores = (split_heads(q) @ split_heads(k).transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
     alpha = T.softmax(scores, axis=-1)
-    return (alpha @ split_heads(v)).transpose((1, 0, 2)).reshape(nq, dim)
+    return (alpha @ split_heads(v)).transpose((0, 2, 1, 3)).reshape(*lead, nq, dim)
 
 
 class HyperAttention(Module):

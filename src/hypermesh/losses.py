@@ -61,8 +61,9 @@ def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor,
                          scale: float = 1.0) -> Tensor:
     """Mean per-vertex L1 distance after mapping both meshes onto the ball.
 
-    ``scale`` rescales meter coordinates before the exponential map; the
-    default assumes O(1) vertex coordinates.
+    Meshes are [n, 3] or [T, n, 3] (the mean pools all frames). ``scale``
+    rescales meter coordinates before the exponential map; the default
+    assumes O(1) vertex coordinates.
     """
     if pred.shape != gt.shape:
         raise ShapeError(f"mesh shapes differ: {pred.shape} vs {gt.shape}")
@@ -81,45 +82,47 @@ def euclidean_losses(pred_fine: Tensor, gt_fine: Tensor,
                      topology: MeshTopology) -> EuclideanLosses:
     """Mesh/joint L1, face-normal, and coarse-edge-length losses.
 
-    Normals use ground-truth unit face normals against unit predicted edge
-    vectors; zero-area ground-truth faces are skipped and tallied. Edge
-    lengths are compared on the coarse topology edges.
+    Meshes are [n, 3] or [T, n, 3]; each term is the mean over frames of the
+    frame's term. Normals use ground-truth unit face normals against unit
+    predicted edge vectors; zero-area ground-truth faces are skipped and
+    tallied. Edge lengths are compared on the coarse topology edges.
     """
     if pred_fine.shape != gt_fine.shape:
         raise ShapeError(f"fine mesh shapes differ: {pred_fine.shape} vs {gt_fine.shape}")
     if pred_coarse.shape != gt_coarse.shape:
         raise ShapeError(
             f"coarse mesh shapes differ: {pred_coarse.shape} vs {gt_coarse.shape}")
+    # frames share vertex, joint and edge counts: pooled means = means of frame means
+    if pred_fine.ndim == 2:
+        pred_fine, gt_fine, pred_coarse, gt_coarse = (
+            t.reshape(1, *t.shape) for t in (pred_fine, gt_fine, pred_coarse, gt_coarse))
 
     l_mesh = _mean_l1(pred_fine, gt_fine)
     l_joint = _mean_l1(regressor(pred_fine), regressor(gt_fine))
 
     faces = topology.faces
-    degenerate = 0
-    if faces.size:
-        gt_np = gt_fine.data
-        v0, v1, v2 = gt_np[faces[:, 0]], gt_np[faces[:, 1]], gt_np[faces[:, 2]]
-        normals = np.cross(v1 - v0, v2 - v0)
-        areas = np.linalg.norm(normals, axis=-1)
-        keep = areas > 1e-12
-        degenerate = int((~keep).sum())
-        faces = faces[keep]
-    if faces.size:
-        n_hat = Tensor(normals[keep] / areas[keep, None])
-        terms = []
-        cycle = [(0, 1), (1, 2), (2, 0)]
-        for a, b in cycle:
-            e = pred_fine[faces[:, b]] - pred_fine[faces[:, a]]
-            e_hat = e / T.l2norm(e, axis=-1, keepdims=True, eps=1e-12)
-            terms.append(T.tabs((e_hat * n_hat).sum(axis=-1)))
-        l_normal = sum(terms[1:], terms[0]).mean()
+    gt_np = gt_fine.data
+    v0, v1, v2 = (gt_np[:, faces[:, i]] for i in range(3))
+    normals = np.cross(v1 - v0, v2 - v0)
+    areas = np.linalg.norm(normals, axis=-1)
+    keep = areas > 1e-12
+    frame, face = np.nonzero(keep)
+    if frame.size:
+        n_hat = Tensor((normals[keep] / areas[keep][:, None])[:, None, :])
+        # a kept face of frame t weighs 1 / (T * kept faces of frame t)
+        weight = Tensor(1.0 / (keep.sum(axis=1)[frame] * keep.shape[0]))
+        corners = pred_fine[frame[:, None], faces[face]]      # [K, 3, 3]
+        e = corners[:, [1, 2, 0]] - corners                   # edges 0-1, 1-2, 2-0
+        e_hat = e / T.l2norm(e, axis=-1, keepdims=True, eps=1e-12)
+        terms = T.tabs((e_hat * n_hat).sum(axis=-1)).sum(axis=-1)
+        l_normal = (terms * weight).sum()
     else:
         l_normal = Tensor(0.0)
 
     edges = topology.edges
     if edges.size:
-        e_pred = pred_coarse[edges[:, 0]] - pred_coarse[edges[:, 1]]
-        e_gt = gt_coarse[edges[:, 0]] - gt_coarse[edges[:, 1]]
+        e_pred = pred_coarse[:, edges[:, 0]] - pred_coarse[:, edges[:, 1]]
+        e_gt = gt_coarse[:, edges[:, 0]] - gt_coarse[:, edges[:, 1]]
         len_pred = T.l2norm(e_pred, axis=-1, keepdims=False, eps=1e-12)
         len_gt = T.l2norm(e_gt, axis=-1, keepdims=False, eps=1e-12)
         l_edge = T.tabs(len_pred - len_gt).mean()
@@ -127,7 +130,7 @@ def euclidean_losses(pred_fine: Tensor, gt_fine: Tensor,
         l_edge = Tensor(0.0)
 
     return EuclideanLosses(mesh=l_mesh, joint=l_joint, normal=l_normal,
-                           edge=l_edge, degenerate_faces=degenerate)
+                           edge=l_edge, degenerate_faces=int((~keep).sum()))
 
 
 def total_loss(losses: EuclideanLosses, hymesh: Tensor,

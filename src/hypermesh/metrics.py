@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
+from .tensor_io import atomic_write
 
 M_TO_MM = 1000.0
 
@@ -119,7 +120,7 @@ def write_metric_report(path, pred_joints, gt_joints, pred_verts, gt_verts,
     """CSV with one row per frame plus a final sequence acceleration row."""
     rows = per_frame_metrics(pred_joints, gt_joints, pred_verts, gt_verts, root_idx)
     accel = accel_error(pred_joints, gt_joints)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("frame,mpjpe_mm,pa_mpjpe_mm,mpvpe_mm\n")
         for r in rows:
             fh.write(f"{r['frame']},{r['mpjpe_mm']:.12g},"

@@ -21,7 +21,7 @@ from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0
 from .module import Module
 from .temporal import TemporalPriorExtractor
 from .tensor import Tensor
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import atomic_write, load_tensor, save_tensor
 
 
 @dataclass
@@ -64,7 +64,7 @@ class MeshTopology:
             "upsampler_file": ufile,
         }
         path = directory / f"{name}.json"
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(spec, fh)
             fh.write("\n")
         return path
@@ -90,7 +90,7 @@ class MeshState:
 
 def export_obj(path: str | Path, vertices: np.ndarray, faces: np.ndarray) -> None:
     """Write a minimal OBJ file (1-based face indices)."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for v in np.asarray(vertices, dtype=np.float64):
             fh.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
         for f in np.asarray(faces, dtype=np.int64):
@@ -105,6 +105,9 @@ class OptBlock(Module):
     frame's prior row (adaptive LN), cross-attend mesh<-pose, then a
     self-attention stage, each followed by conditioned FFN sub-blocks with
     Möbius residuals, and finally map back to Euclidean coordinates.
+    One call runs every frame: ``cond`` [T, 1, D_f] and ``pose`` [T, J, 3]
+    give [T, n_tokens, 3]. The frame-independent mesh-token prefix is
+    computed once and broadcast over the frames by the first adaptive LN.
     """
 
     def __init__(self, n_tokens: int, n_keys: int, cond_dim: int, dim: int,
@@ -126,7 +129,7 @@ class OptBlock(Module):
         self.head = Linear(dim, 3, rng)
         self.params = params
 
-    def __call__(self, m_init: Tensor, tm_row: Tensor, pose: Tensor) -> Tensor:
+    def __call__(self, m_init: Tensor, cond: Tensor, pose: Tensor) -> Tensor:
         if m_init.shape[-1] != 3 or pose.shape[-1] != 3:
             raise ShapeError("mesh and pose streams must have trailing dim 3")
         p = self.params
@@ -136,32 +139,36 @@ class OptBlock(Module):
         m_hat = expmap0(mesh_tokens, p)
         p_hat = expmap0(pose_tokens, p)
 
-        m_mix = self.adaln_in(m_hat, tm_row)
+        m_mix = self.adaln_in(m_hat, cond)
         x_pm = mobius_residual(self.cross_att(m_mix, p_hat), m_mix, p)
-        x_ada = self.adaln_mid(x_pm, tm_row)
+        x_ada = self.adaln_mid(x_pm, cond)
         x_m = mobius_residual(self.ffn_mid(x_ada), x_pm, p)
 
         x_p = mobius_residual(self.self_att(x_m, x_m), x_m, p)
-        m_ref = mobius_residual(self.ffn_out(self.adaln_out(x_p, tm_row)), x_p, p)
+        m_ref = mobius_residual(self.ffn_out(self.adaln_out(x_p, cond)), x_p, p)
 
         return self.head(logmap0(m_ref, p))
 
 
 def fuse_and_upsample(m_p: MeshState, m_m: MeshState) -> tuple[MeshState, MeshState]:
-    """M_opt = M_p + M_m on the coarse mesh, M_out = U . M_opt on the fine mesh."""
+    """M_opt = M_p + M_m on the coarse mesh, M_out = U . M_opt on the fine
+    mesh; meshes may carry a leading frame axis."""
     topo = m_p.topology
     if m_m.topology is not topo and (
             m_m.topology.n_coarse != topo.n_coarse or m_m.topology.n_fine != topo.n_fine):
         raise TopologyError("fuse_and_upsample: mismatched topologies")
-    if m_p.vertices.shape != (topo.n_coarse, 3) or m_m.vertices.shape != (topo.n_coarse, 3):
-        raise ShapeError("fuse_and_upsample expects coarse [n_coarse, 3] meshes")
+    shape = m_p.vertices.shape
+    if shape[-2:] != (topo.n_coarse, 3) or m_m.vertices.shape != shape:
+        raise ShapeError("fuse_and_upsample expects coarse [..., n_coarse, 3] meshes")
     m_opt = m_p.vertices + m_m.vertices
     m_out = Tensor(topo.upsampler) @ m_opt
     return MeshState(m_opt, topo), MeshState(m_out, topo)
 
 
 @dataclass
-class FrameResult:
+class SequenceResult:
+    """Every frame's meshes, frame axis first: [T, n_coarse or n_fine, 3]."""
+
     m_p: Tensor
     m_m: Tensor
     m_opt: MeshState
@@ -188,22 +195,18 @@ class MeshPipeline(Module):
         self.feat_dim = feat_dim
 
     def run_sequence(self, poses: Tensor, feats: Tensor,
-                     disable_hmo: bool = False) -> list[FrameResult]:
+                     disable_hmo: bool = False) -> SequenceResult:
         if poses.shape[0] != feats.shape[0]:
             raise ShapeError(
                 f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
         tm_pr, p_motion = self.prior(poses, feats)
-        results = []
-        for t in range(poses.shape[0]):
-            # one slice shared by both blocks: slicing twice would add a tape
-            # node and change how the row's gradient is summed
-            tm_row = tm_pr[t]
-            m_p = self.hpo(self.template, tm_row, poses[t])
-            if disable_hmo:
-                m_m = Tensor(np.zeros_like(m_p.data))
-            else:
-                m_m = self.hmo(self.template, tm_row, p_motion[t])
-            m_opt, m_out = fuse_and_upsample(
-                MeshState(m_p, self.topology), MeshState(m_m, self.topology))
-            results.append(FrameResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out))
-        return results
+        # one [T, 1, D_f] view shared by both blocks
+        cond = tm_pr.reshape(tm_pr.shape[0], 1, tm_pr.shape[1])
+        m_p = self.hpo(self.template, cond, poses)
+        if disable_hmo:
+            m_m = Tensor(np.zeros_like(m_p.data))
+        else:
+            m_m = self.hmo(self.template, cond, p_motion)
+        m_opt, m_out = fuse_and_upsample(
+            MeshState(m_p, self.topology), MeshState(m_m, self.topology))
+        return SequenceResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out)

@@ -1,4 +1,5 @@
-"""Binary tensor files and JSON-manifest checkpoints.
+"""Binary tensor files, JSON-manifest checkpoints, and the atomic file
+write every artifact goes through.
 
 File layout: 8-byte magic ``GYMTENSR``, u32 rank, u32 dims[rank], then
 little-endian float64 payload in row-major order. Round-trips are
@@ -8,7 +9,9 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,28 @@ from .errors import ContractError
 MAGIC = b"GYMTENSR"
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing (``mode`` "w" or "wb").
+
+    When the block completes, the file replaces ``path`` in one step
+    (``os.replace``); when it raises, the temporary file is removed and
+    ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensor(path: str | Path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(array, dtype="<f8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -62,12 +84,15 @@ def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Pat
                 f"parameters {other!r} and {name!r} map to one file {_file_name(name)!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    mpath = directory / "manifest.json"
+    # the old manifest goes before any file is rewritten and the new one comes
+    # last: an overwrite cut short leaves no manifest, never one over mixed files
+    mpath.unlink(missing_ok=True)
     manifest = {}
     for fname, name in owners.items():
         save_tensor(directory / fname, params[name])
         manifest[name] = {"file": fname, "shape": list(params[name].shape)}
-    mpath = directory / "manifest.json"
-    with open(mpath, "w") as fh:
+    with atomic_write(mpath) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return mpath
@@ -76,9 +101,18 @@ def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Pat
 def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ContractError(f"{manifest_path}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ContractError(f"{manifest_path}: manifest must be a JSON object")
     out = {}
     for name, entry in manifest.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise ContractError(
+                f"checkpoint entry {name}: needs a string \"file\" and a list \"shape\"")
         fname = entry["file"]
         if fname in ("", "..") or Path(fname).name != fname:
             raise ContractError(

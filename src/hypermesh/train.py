@@ -19,7 +19,8 @@ from .metrics import write_metric_report
 from .pipeline import MeshPipeline
 from .synth import SyntheticScene, fibonacci_sphere, synth_generate
 from .tensor import Tensor
-from .tensor_io import load_checkpoint, load_tensor, save_checkpoint
+from .tensor_io import (atomic_write, load_checkpoint, load_tensor,
+                        save_checkpoint)
 
 
 class SGD:
@@ -65,24 +66,15 @@ def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
 def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfig,
                disable_hmo: bool = False) -> Tensor:
     """Mean over frames of the full weighted loss against the scene's ground truth."""
-    weights = cfg.loss_weights()
-    ball = cfg.ball_params()
-    results = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                    disable_hmo=disable_hmo)
-    per_frame = []
-    for t, frame in enumerate(results):
-        gt_fine = Tensor(scene.fine_meshes[t])
-        gt_coarse = Tensor(scene.coarse_meshes[t])
-        eu = euclidean_losses(frame.m_out.vertices, gt_fine,
-                              frame.m_opt.vertices, gt_coarse,
-                              scene.regressor, scene.topology)
-        hy = hyperbolic_mesh_loss(frame.m_out.vertices, gt_fine, ball,
-                                  scale=cfg.hymesh_scale)
-        per_frame.append(total_loss(eu, hy, weights))
-    total = per_frame[0]
-    for term in per_frame[1:]:
-        total = total + term
-    return total * (1.0 / len(per_frame))
+    result = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                   disable_hmo=disable_hmo)
+    gt_fine = Tensor(scene.fine_meshes)
+    eu = euclidean_losses(result.m_out.vertices, gt_fine,
+                          result.m_opt.vertices, Tensor(scene.coarse_meshes),
+                          scene.regressor, scene.topology)
+    hy = hyperbolic_mesh_loss(result.m_out.vertices, gt_fine, cfg.ball_params(),
+                              scale=cfg.hymesh_scale)
+    return total_loss(eu, hy, cfg.loss_weights())
 
 
 def _diagnose_nonfinite(pipeline, scene, cfg, disable_hmo) -> str:
@@ -142,7 +134,7 @@ def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
                                  disable_hmo=cfg.disable_hmo).item())
 
     curve_path = out / "loss_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
+    with atomic_write(curve_path) as fh:
         fh.write("step,loss\n")
         for i, v in enumerate(losses):
             fh.write(f"{i},{v:.12g}\n")
@@ -162,9 +154,8 @@ def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
     # nothing here runs backward: untracked parameters keep the tape empty
     for param in pipeline.parameters():
         param.requires_grad = False
-    results = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                    disable_hmo=cfg.disable_hmo)
-    pred_fine = np.stack([f.m_out.vertices.data for f in results])
+    pred_fine = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                      disable_hmo=cfg.disable_hmo).m_out.vertices.data
     pred_joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, pred_fine)
     write_metric_report(report_path, pred_joints, scene.poses,
                         pred_fine, scene.fine_meshes, root_idx=cfg.root_joint)

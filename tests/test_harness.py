@@ -11,8 +11,9 @@ from hypermesh.manifold import BallParams
 from hypermesh.metrics import write_metric_report
 from hypermesh.synth import load_scene, save_scene, synth_generate
 from hypermesh.tensor import Tensor
-from hypermesh.tensor_io import (load_checkpoint, load_tensor, save_checkpoint,
-                                 save_tensor)
+from hypermesh import tensor_io
+from hypermesh.tensor_io import (atomic_write, load_checkpoint, load_tensor,
+                                 save_checkpoint, save_tensor)
 from hypermesh.train import SGD, build_pipeline, evaluate, train_toy
 
 SMALL = dict(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
@@ -127,6 +128,39 @@ def test_checkpoint_refuses_colliding_file_names(tmp_path):
     assert not (tmp_path / "ckpt").exists()
 
 
+def test_atomic_write_cut_short_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "w.gymt"
+    save_tensor(path, np.arange(3.0))
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="cut"):
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"GYMTENSR partial")
+            raise RuntimeError("cut")
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["w.gymt"]
+
+
+def test_checkpoint_overwrite_cut_short_leaves_no_mixed_manifest(tmp_path, monkeypatch):
+    params = {"a": np.ones(2), "b": np.ones(3)}
+    manifest = save_checkpoint(tmp_path / "ckpt", params)
+    b_before = (tmp_path / "ckpt" / "b.gymt").read_bytes()
+    written = []
+
+    def save_then_fail(path, array):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        save_tensor(path, array)
+
+    monkeypatch.setattr(tensor_io, "save_tensor", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "ckpt", {k: v * 2.0 for k, v in params.items()})
+    # "a" was rewritten, "b" was not: no manifest may describe that mix
+    assert not manifest.exists()
+    assert (tmp_path / "ckpt" / "b.gymt").read_bytes() == b_before
+    assert sorted(f.name for f in (tmp_path / "ckpt").iterdir()) == ["a.gymt", "b.gymt"]
+
+
 def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
     rng = np.random.default_rng(2)
     params = {"a.w": rng.normal(size=(3, 2)), "b": rng.normal(size=5)}
@@ -187,7 +221,7 @@ def test_train_checkpoint_reproduces_forward(tmp_path):
     pipe = build_pipeline(cfg, scene)
     pipe.load_state_dict(load_checkpoint(result.checkpoint_path))
     out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert np.all(np.isfinite(out[0].m_out.vertices.data))
+    assert np.all(np.isfinite(out.m_out.vertices.data))
 
 
 def test_sgd_step_clamps_ball_rows_onto_the_shell():
@@ -211,9 +245,9 @@ def test_evaluate_records_no_tape(tmp_path, monkeypatch):
     # the report the same forward writes with trainable parameters
     pipe = build_pipeline(cfg, scene)
     pipe.load_state_dict(load_checkpoint(manifest))
-    frames = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert frames[0].m_out.vertices.requires_grad
-    fine = np.stack([f.m_out.vertices.data for f in frames])
+    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert result.m_out.vertices.requires_grad
+    fine = result.m_out.vertices.data
     joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, fine)
     write_metric_report(tmp_path / "taped.csv", joints, scene.poses, fine,
                         scene.fine_meshes, root_idx=cfg.root_joint)
@@ -288,6 +322,36 @@ def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config" and named in err["message"]
     assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    '[{"file": "template.gymt", "shape": [6, 3]}]',
+    '{"template": 3}',
+    '{"template": {"shape": [6, 3]}}',
+    '{"template": {"file": "template.gymt"}}',
+    '{"template": ',
+], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json"])
+def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
+    cfg_path = _write_cfg(tmp_path)
+    path = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    path.write_text(manifest)
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
+                 "--report", str(tmp_path / "report.csv")]) == 5
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "contract"
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("frame", [-1, SMALL["t_frames"]], ids=["negative", "past_end"])
+def test_cli_export_mesh_frame_out_of_range_exit_code(tmp_path, capsys, frame):
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    assert main(["export-mesh", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--frame", str(frame), "--out", str(tmp_path / "frame.obj")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "frame" in err["message"]
+    assert not (tmp_path / "frame.obj").exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError, TopologyError
-from hypermesh.pipeline import (MeshState, MeshTopology, export_obj,
+from hypermesh.pipeline import (MeshState, MeshTopology, OptBlock, export_obj,
                                 fuse_and_upsample)
 from hypermesh.synth import build_toy_topology, fibonacci_sphere, synth_generate
 from hypermesh.tensor import Tensor
@@ -80,12 +80,11 @@ def test_pipeline_shapes_and_ball_invariant(ball_norms):
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    results = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert len(results) == cfg.t_frames
-    frame = results[-1]
-    assert frame.m_p.shape == (cfg.n_coarse, 3)
-    assert frame.m_opt.vertices.shape == (cfg.n_coarse, 3)
-    assert frame.m_out.vertices.shape == (cfg.n_fine, 3)
+    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert result.m_p.shape == (cfg.t_frames, cfg.n_coarse, 3)
+    assert result.m_m.shape == (cfg.t_frames, cfg.n_coarse, 3)
+    assert result.m_opt.vertices.shape == (cfg.t_frames, cfg.n_coarse, 3)
+    assert result.m_out.vertices.shape == (cfg.t_frames, cfg.n_fine, 3)
     assert not ball_norms.exceeds(cfg.ball_params())
 
 
@@ -93,13 +92,60 @@ def test_disable_hmo_zeroes_motion_branch():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    results = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                disable_hmo=True)
-    for frame in results:
-        np.testing.assert_array_equal(frame.m_m.data,
-                                      np.zeros((cfg.n_coarse, 3)))
-        np.testing.assert_allclose(frame.m_opt.vertices.data,
-                                   frame.m_p.data, atol=1e-15)
+    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                               disable_hmo=True)
+    np.testing.assert_array_equal(result.m_m.data,
+                                  np.zeros((cfg.t_frames, cfg.n_coarse, 3)))
+    np.testing.assert_allclose(result.m_opt.vertices.data,
+                               result.m_p.data, atol=1e-15)
+
+
+def test_batched_frames_match_single_frame_calls():
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    poses = Tensor(scene.poses)
+    result = pipe.run_sequence(poses, Tensor(scene.feats))
+    tm_pr, p_motion = pipe.prior(poses, Tensor(scene.feats))
+    cond = tm_pr.reshape(cfg.t_frames, 1, cfg.feat_dim)
+    for t in range(cfg.t_frames):
+        m_p = pipe.hpo(pipe.template, cond[t:t + 1], poses[t:t + 1])
+        m_m = pipe.hmo(pipe.template, cond[t:t + 1], p_motion[t:t + 1])
+        assert np.array_equal(m_p.data, result.m_p.data[t:t + 1])
+        assert np.array_equal(m_m.data, result.m_m.data[t:t + 1])
+
+
+def test_frame_outputs_depend_only_on_their_frame():
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    tm_pr, _ = pipe.prior(Tensor(scene.poses), Tensor(scene.feats))
+    cond = tm_pr.reshape(cfg.t_frames, 1, cfg.feat_dim)
+    moved = scene.poses.copy()
+    moved[2] += 0.1
+    before = pipe.hpo(pipe.template, cond, Tensor(scene.poses)).data
+    after = pipe.hpo(pipe.template, cond, Tensor(moved)).data
+    for t in (0, 1, 3):
+        assert np.array_equal(before[t], after[t])
+    assert not np.array_equal(before[2], after[2])
+
+
+@pytest.mark.parametrize("t_frames", [4, 8])
+def test_opt_block_called_twice_per_sequence(monkeypatch, t_frames):
+    calls = []
+    call = OptBlock.__call__
+
+    def counted(self, *args):
+        calls.append(self)
+        return call(self, *args)
+
+    monkeypatch.setattr(OptBlock, "__call__", counted)
+    cfg = _small_cfg(t_frames=t_frames)
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert result.m_out.vertices.shape == (t_frames, cfg.n_fine, 3)
+    assert calls == [pipe.hpo, pipe.hmo]
 
 
 def test_pipeline_forward_determinism():
@@ -109,8 +155,8 @@ def test_pipeline_forward_determinism():
         Tensor(scene.poses), Tensor(scene.feats))
     out2 = build_pipeline(cfg, scene).run_sequence(
         Tensor(scene.poses), Tensor(scene.feats))
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.m_out.vertices.data, b.m_out.vertices.data)
+    assert out1.m_out.vertices.shape[0] == cfg.t_frames
+    assert np.array_equal(out1.m_out.vertices.data, out2.m_out.vertices.data)
 
 
 def test_pipeline_state_dict_roundtrip():
@@ -122,7 +168,7 @@ def test_pipeline_state_dict_roundtrip():
     pipe2.load_state_dict(state)
     a = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
     b = pipe2.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert np.array_equal(a[0].m_out.vertices.data, b[0].m_out.vertices.data)
+    assert np.array_equal(a.m_out.vertices.data, b.m_out.vertices.data)
 
 
 def test_pipeline_state_dict_strictness():
