@@ -431,11 +431,8 @@ def _primitive_entries(rng: np.random.Generator):
     yield entry("mean_axis", lambda a: a.mean(axis=1, keepdims=True), (3, 4))
     yield entry("broadcast", lambda a: T.broadcast_to(a, (5, 3, 4)), (3, 4))
     yield entry("tanh", T.tanh, (3, 4))
-    yield entry("atanh", T.atanh, (3, 4), low=-0.9, high=0.9)
     yield entry("sigmoid", T.sigmoid, (3, 4))
     yield entry("gelu", T.gelu, (3, 4), low=-2.0, high=2.0)
-    yield entry("exp", T.exp, (3, 4))
-    yield entry("log", lambda a: T.log(a + 2.0), (3, 4))
     yield entry("sqrt", lambda a: T.sqrt(a + 2.0), (3, 4))
     yield entry("abs", lambda a: T.tabs(a + 3.0), (3, 4))
     yield entry("softmax", lambda a: T.softmax(a, axis=-1), (3, 4))

@@ -12,8 +12,6 @@ from .config import PipelineConfig
 from .errors import ConfigError, HypermeshError
 from .pipeline import export_obj
 from .synth import load_scene, save_scene, synth_generate
-from .tensor import Tensor
-from .tensor_io import load_checkpoint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,40 +82,34 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _print_checks(rows: list[dict], kind: str, detail) -> int:
+    """One PASS/FAIL line per check, then the tally; 0 when at least one
+    check ran and every one passed, else 1."""
+    for r in rows:
+        print(f"{'PASS' if r['passed'] else 'FAIL'} {r['module']}/{r['check']} {detail(r)}")
+    print(f"{sum(r['passed'] for r in rows)}/{len(rows)} {kind} passed")
+    return 0 if rows and all(r["passed"] for r in rows) else 1
+
+
 def _cmd_gradcheck(args) -> int:
     from .checks import run_gradchecks
     rows = run_gradchecks(module=args.module, tol_override=args.tol)
-    ok = True
-    for r in rows:
-        status = "PASS" if r["passed"] else "FAIL"
-        ok = ok and r["passed"]
-        print(f"{status} {r['module']}/{r['check']} "
-              f"max_rel_err={r['max_rel_err']:.3e} tol={r['tol']:.1e}")
-    print(f"{sum(r['passed'] for r in rows)}/{len(rows)} gradchecks passed")
-    return 0 if ok and rows else 1
+    return _print_checks(rows, "gradchecks", lambda r: (
+        f"max_rel_err={r['max_rel_err']:.3e} tol={r['tol']:.1e}"))
 
 
 def _cmd_propcheck(args) -> int:
     from .checks import run_propchecks
     rows = run_propchecks(module=args.module, cases=args.cases)
-    ok = True
-    for r in rows:
-        status = "PASS" if r["passed"] else "FAIL"
-        ok = ok and r["passed"]
-        detail = "" if r["passed"] else f" ({r.get('detail', '')})"
-        print(f"{status} {r['module']}/{r['check']} cases={r['cases']}{detail}")
-    print(f"{sum(r['passed'] for r in rows)}/{len(rows)} propchecks passed")
-    return 0 if ok and rows else 1
+    return _print_checks(rows, "propchecks", lambda r: f"cases={r['cases']}" + (
+        "" if r["passed"] else f" ({r.get('detail', '')})"))
 
 
 def _cmd_export_mesh(args) -> int:
-    from .train import build_pipeline
+    from .train import predict
     cfg = PipelineConfig.load(args.config)
     scene = load_scene(args.scene) if args.scene else synth_generate(cfg)
-    pipeline = build_pipeline(cfg, scene)
-    pipeline.load_state_dict(load_checkpoint(args.checkpoint))
-    fine = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                 disable_hmo=cfg.disable_hmo).m_out.vertices.data
+    fine = predict(cfg, args.checkpoint, scene)
     # a negative index would silently pick a frame from the end
     if not (0 <= args.frame < fine.shape[0]):
         raise ConfigError(f"frame {args.frame} out of range [0, {fine.shape[0]})")

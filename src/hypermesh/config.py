@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
+from .losses import LossWeights
 from .manifold import POLICIES, BallParams
 from .tensor_io import atomic_write
 
@@ -59,6 +61,8 @@ class PipelineConfig:
             if (not isinstance(value, _TYPES[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
         for name in ("n_joints", "feat_dim", "model_dim", "heads", "n_coarse",
@@ -90,20 +94,17 @@ class PipelineConfig:
                 self._ball = BallParams(eps_ball=eps_ball, eps_norm=eps_norm)
             except ContractError as exc:
                 raise ConfigError(str(exc)) from exc
+        try:
+            self._weights = LossWeights(**{f.name: getattr(self, f.name)
+                                           for f in dataclasses.fields(LossWeights)})
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def ball_params(self) -> BallParams:
         return self._ball
 
-    def loss_weights(self):
-        from .losses import LossWeights
-        return LossWeights(lambda_mesh=self.lambda_mesh,
-                           lambda_joint=self.lambda_joint,
-                           lambda_hyper=self.lambda_hyper,
-                           lambda_normal=self.lambda_normal,
-                           lambda_edge=self.lambda_edge)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def loss_weights(self) -> LossWeights:
+        return self._weights
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -115,7 +116,7 @@ class PipelineConfig:
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod

@@ -8,7 +8,6 @@ row-stochastic matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0
 from .module import Module
 from .temporal import TemporalPriorExtractor
 from .tensor import Tensor
-from .tensor_io import atomic_write, load_tensor, save_tensor
+from .tensor_io import atomic_write
 
 
 @dataclass
@@ -50,34 +49,6 @@ class MeshTopology:
             raise TopologyError("edge index out of range")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= self.n_fine):
             raise TopologyError("face index out of range")
-
-    def save(self, directory: str | Path, name: str = "topology") -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        ufile = f"{name}_upsampler.gymt"
-        save_tensor(directory / ufile, self.upsampler)
-        spec = {
-            "n_coarse": self.n_coarse,
-            "n_fine": self.n_fine,
-            "edges": self.edges.tolist(),
-            "faces": self.faces.tolist(),
-            "upsampler_file": ufile,
-        }
-        path = directory / f"{name}.json"
-        with atomic_write(path) as fh:
-            json.dump(spec, fh)
-            fh.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MeshTopology":
-        path = Path(path)
-        with open(path) as fh:
-            spec = json.load(fh)
-        upsampler = load_tensor(path.parent / spec["upsampler_file"])
-        return cls(n_coarse=spec["n_coarse"], n_fine=spec["n_fine"],
-                   edges=np.asarray(spec["edges"]), faces=np.asarray(spec["faces"]),
-                   upsampler=upsampler)
 
 
 @dataclass
@@ -190,9 +161,6 @@ class MeshPipeline(Module):
         self.hmo = OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
         self.template = Tensor(template.copy(), requires_grad=True)
         self.topology = topology
-        self.params = params
-        self.n_joints = n_joints
-        self.feat_dim = feat_dim
 
     def run_sequence(self, poses: Tensor, feats: Tensor,
                      disable_hmo: bool = False) -> SequenceResult:

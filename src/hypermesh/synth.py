@@ -12,9 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import ContractError
 from .losses import JointRegressor
 from .pipeline import MeshTopology
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import load_checkpoint, save_checkpoint
+
+SCENE_ARRAYS = ("poses", "coarse_meshes", "fine_meshes", "feats", "regressor",
+                "upsampler", "edges", "faces")
 
 
 @dataclass
@@ -99,24 +103,35 @@ def synth_generate(cfg: PipelineConfig) -> SyntheticScene:
 
 
 def save_scene(scene: SyntheticScene, directory: str | Path) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_tensor(directory / "poses.gymt", scene.poses)
-    save_tensor(directory / "coarse_meshes.gymt", scene.coarse_meshes)
-    save_tensor(directory / "fine_meshes.gymt", scene.fine_meshes)
-    save_tensor(directory / "feats.gymt", scene.feats)
-    save_tensor(directory / "regressor.gymt", scene.regressor.matrix)
-    scene.topology.save(directory)
-    return directory
+    """Write the scene as a checkpoint of the arrays in ``SCENE_ARRAYS``."""
+    topo = scene.topology
+    save_checkpoint(directory, {
+        "poses": scene.poses, "coarse_meshes": scene.coarse_meshes,
+        "fine_meshes": scene.fine_meshes, "feats": scene.feats,
+        "regressor": scene.regressor.matrix, "upsampler": topo.upsampler,
+        "edges": topo.edges, "faces": topo.faces})
+    return Path(directory)
 
 
 def load_scene(directory: str | Path) -> SyntheticScene:
-    directory = Path(directory)
+    arrays = load_checkpoint(Path(directory) / "manifest.json")
+    if sorted(arrays) != sorted(SCENE_ARRAYS):
+        raise ContractError(f"{directory}: a scene holds the arrays {sorted(SCENE_ARRAYS)}, "
+                            f"its manifest lists {sorted(arrays)}")
+    upsampler = arrays["upsampler"]
+    if upsampler.ndim != 2:
+        raise ContractError(f"scene upsampler must be 2-D, got shape {upsampler.shape}")
+    for name, width in (("edges", 2), ("faces", 3)):
+        a = arrays[name]
+        if (a.ndim != 2 or a.shape[1] != width or not np.isfinite(a).all()
+                or not np.array_equal(a, np.floor(a))):
+            raise ContractError(f"scene {name} must be an [n, {width}] array of "
+                                f"integers, got shape {a.shape}")
     return SyntheticScene(
-        poses=load_tensor(directory / "poses.gymt"),
-        coarse_meshes=load_tensor(directory / "coarse_meshes.gymt"),
-        fine_meshes=load_tensor(directory / "fine_meshes.gymt"),
-        feats=load_tensor(directory / "feats.gymt"),
-        topology=MeshTopology.load(directory / "topology.json"),
-        regressor=JointRegressor(load_tensor(directory / "regressor.gymt")),
+        poses=arrays["poses"], coarse_meshes=arrays["coarse_meshes"],
+        fine_meshes=arrays["fine_meshes"], feats=arrays["feats"],
+        topology=MeshTopology(n_coarse=upsampler.shape[1], n_fine=upsampler.shape[0],
+                              edges=arrays["edges"], faces=arrays["faces"],
+                              upsampler=upsampler),
+        regressor=JointRegressor(arrays["regressor"]),
     )

@@ -16,14 +16,6 @@ from scipy.special import erf as _erf
 
 from .errors import ContractError, NumericError, ShapeError
 
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Globally enable per-op output finiteness checks (slow; diagnostics only)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-
 
 class Tensor:
     """A dense float64 array with optional gradient tracking."""
@@ -72,24 +64,8 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar tensor")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
-
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        for node in reversed(tape_order(self)):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
@@ -159,9 +135,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def tape_order(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through parents that require
+    grad, each once, every tensor after its parents."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    return topo
+
+
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite output of op '{op}'")
     out = Tensor(data)
     out._op = op
     if any(p.requires_grad for p in parents):
@@ -332,15 +327,6 @@ def tanh(a) -> Tensor:
     return _make(data, "tanh", (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def atanh(a) -> Tensor:
-    a = as_tensor(a)
-    if not np.all(np.abs(a.data) < 1.0):
-        raise NumericError("atanh: input outside the open interval (-1, 1)")
-    data = np.arctanh(a.data)
-    return _make(data, "atanh", (a,),
-                 lambda g: (g / (1.0 - a.data * a.data),))
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
@@ -362,20 +348,6 @@ def gelu(a) -> Tensor:
         return (g * (phi + a.data * pdf),)
 
     return _make(data, "gelu", (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    return _make(data, "exp", (a,), lambda g: (g * data,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        raise NumericError("log: input must be strictly positive")
-    data = np.log(a.data)
-    return _make(data, "log", (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a) -> Tensor:

@@ -77,15 +77,16 @@ def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfi
     return total_loss(eu, hy, cfg.loss_weights())
 
 
-def _diagnose_nonfinite(pipeline, scene, cfg, disable_hmo) -> str:
-    T.set_finite_checks(True)
-    try:
-        scene_loss(pipeline, scene, cfg, disable_hmo)
-    except NumericError as exc:
-        return str(exc)
-    finally:
-        T.set_finite_checks(False)
-    return "loss non-finite but forward re-run was finite"
+def _nonfinite_source(loss: Tensor) -> str:
+    """Names the first op on the loss's tape whose output is non-finite while
+    every input it records is finite; untracked inputs are constants."""
+    def finite(t):
+        return bool(np.isfinite(t.data).all())
+    for node in T.tape_order(loss):
+        if (node._parents and not finite(node)
+                and all(finite(p) for p in node._parents if p.requires_grad)):
+            return f"non-finite output of op '{node._op}'"
+    return "non-finite parameter"
 
 
 @dataclass
@@ -124,8 +125,8 @@ def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
         loss = scene_loss(pipeline, scene, cfg, disable_hmo=cfg.disable_hmo)
         value = loss.item()
         if not np.isfinite(value):
-            detail = _diagnose_nonfinite(pipeline, scene, cfg, cfg.disable_hmo)
-            raise NumericError(f"training aborted at step {step}: {detail}")
+            raise NumericError(
+                f"training aborted at step {step}: {_nonfinite_source(loss)}")
         losses.append(value)
         loss.backward()
         opt.step()
@@ -144,25 +145,25 @@ def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
                        loss_curve_path=curve_path)
 
 
-def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
-             report_path: str | Path, scene: SyntheticScene | None = None) -> dict:
-    """Load a checkpoint, run the pipeline, and write the per-frame metric CSV."""
-    if scene is None:
-        scene = synth_generate(cfg)
+def predict(cfg: PipelineConfig, checkpoint_manifest: str | Path,
+            scene: SyntheticScene) -> np.ndarray:
+    """Fine-mesh vertices [T, n_fine, 3] that the checkpoint predicts for the scene."""
     pipeline = build_pipeline(cfg, scene)
     pipeline.load_state_dict(load_checkpoint(checkpoint_manifest))
     # nothing here runs backward: untracked parameters keep the tape empty
     for param in pipeline.parameters():
         param.requires_grad = False
-    pred_fine = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                      disable_hmo=cfg.disable_hmo).m_out.vertices.data
+    return pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                 disable_hmo=cfg.disable_hmo).m_out.vertices.data
+
+
+def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
+             report_path: str | Path, scene: SyntheticScene | None = None) -> dict:
+    """Load a checkpoint, run the pipeline, write the per-frame metric CSV and
+    return its summary: each column's mean and ``accel_error_mm``."""
+    if scene is None:
+        scene = synth_generate(cfg)
+    pred_fine = predict(cfg, checkpoint_manifest, scene)
     pred_joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, pred_fine)
-    write_metric_report(report_path, pred_joints, scene.poses,
-                        pred_fine, scene.fine_meshes, root_idx=cfg.root_joint)
-    from .metrics import accel_error, mpjpe, mpvpe, pa_mpjpe
-    return {
-        "mpjpe_mm": mpjpe(pred_joints, scene.poses, cfg.root_joint),
-        "pa_mpjpe_mm": pa_mpjpe(pred_joints, scene.poses, cfg.root_joint),
-        "mpvpe_mm": mpvpe(pred_fine, scene.fine_meshes),
-        "accel_error_mm": accel_error(pred_joints, scene.poses),
-    }
+    return write_metric_report(report_path, pred_joints, scene.poses,
+                               pred_fine, scene.fine_meshes, root_idx=cfg.root_joint)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hypermesh import tensor as T
 from hypermesh.cli import main
 from hypermesh.config import PipelineConfig
-from hypermesh.errors import ConfigError, ContractError
+from hypermesh.errors import ConfigError, ContractError, NumericError
 from hypermesh.manifold import BallParams
 from hypermesh.metrics import write_metric_report
 from hypermesh.synth import load_scene, save_scene, synth_generate
@@ -188,10 +189,30 @@ def test_scene_save_load_roundtrip(tmp_path):
     scene = synth_generate(_small_cfg(seed=6))
     save_scene(scene, tmp_path / "scene")
     back = load_scene(tmp_path / "scene")
-    assert np.array_equal(back.poses, scene.poses)
-    assert np.array_equal(back.fine_meshes, scene.fine_meshes)
-    assert np.array_equal(back.topology.upsampler, scene.topology.upsampler)
+    for name in ("poses", "coarse_meshes", "fine_meshes", "feats"):
+        assert np.array_equal(getattr(back, name), getattr(scene, name))
+    for name in ("upsampler", "edges", "faces"):
+        got, want = getattr(back.topology, name), getattr(scene.topology, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (back.topology.n_coarse, back.topology.n_fine) == (6, 10)
     assert np.array_equal(back.regressor.matrix, scene.regressor.matrix)
+
+
+def test_scene_save_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
+    scene = synth_generate(_small_cfg())
+    save_scene(scene, tmp_path / "scene")
+    written = []
+
+    def save_then_fail(path, array):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(path)
+        save_tensor(path, array)
+
+    monkeypatch.setattr(tensor_io, "save_tensor", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_scene(scene, tmp_path / "scene")
+    assert not (tmp_path / "scene" / "manifest.json").exists()
 
 
 def test_fine_mesh_is_upsampled_coarse():
@@ -237,6 +258,35 @@ def test_sgd_step_clamps_ball_rows_onto_the_shell():
                                pushed / np.linalg.norm(pushed), atol=1e-15)
 
 
+def test_nonfinite_loss_names_the_op_that_made_it(tmp_path, monkeypatch):
+    real_tabs = T.tabs
+
+    def inf_abs(a):
+        out = real_tabs(a)
+        out.data = np.full_like(out.data, np.inf)
+        return out
+
+    monkeypatch.setattr(T, "tabs", inf_abs)
+    with pytest.raises(NumericError, match=(
+            r"^training aborted at step 0: non-finite output of op 'abs'$")):
+        train_toy(_small_cfg(steps=2), out_dir=tmp_path / "run")
+
+
+def _count_made(monkeypatch) -> dict:
+    """Counts the tensors ops make from here on, and those on a tape."""
+    made = {"all": 0, "taped": 0}
+    make = T._make
+
+    def counting_make(*args):
+        out = make(*args)
+        made["all"] += 1
+        made["taped"] += out.requires_grad
+        return out
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    return made
+
+
 def test_evaluate_records_no_tape(tmp_path, monkeypatch):
     cfg = _small_cfg()
     scene = synth_generate(cfg)
@@ -252,16 +302,7 @@ def test_evaluate_records_no_tape(tmp_path, monkeypatch):
     write_metric_report(tmp_path / "taped.csv", joints, scene.poses, fine,
                         scene.fine_meshes, root_idx=cfg.root_joint)
 
-    made = {"all": 0, "taped": 0}
-    make = T._make
-
-    def counting_make(*args):
-        out = make(*args)
-        made["all"] += 1
-        made["taped"] += out.requires_grad
-        return out
-
-    monkeypatch.setattr(T, "_make", counting_make)
+    made = _count_made(monkeypatch)
     evaluate(cfg, manifest, tmp_path / "report.csv", scene=scene)
     assert made["all"] > 0
     assert made["taped"] == 0
@@ -313,7 +354,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ({"t_frames": "four"}, "t_frames"),
     ({"eps_ball": 0.5}, "eps_ball"),
     ({"topology_path": ""}, "topology_path"),
-], ids=["wrong_type", "out_of_range", "removed_field"])
+    ({"lambda_edge": -1}, "lambda_edge"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"lambda_mesh": float("inf")}, "lambda_mesh"),
+], ids=["wrong_type", "out_of_range", "removed_field", "negative_loss_weight",
+        "nan_learning_rate", "infinite_loss_weight"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
@@ -340,6 +385,64 @@ def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
                  "--report", str(tmp_path / "report.csv")]) == 5
     assert json.loads(capsys.readouterr().err.strip())["error"] == "contract"
     assert not (tmp_path / "report.csv").exists()
+
+
+def _edit_manifest(scene_dir, edit):
+    path = scene_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _file_outside(scene_dir):
+    (scene_dir.parent / "other").mkdir()
+    save_tensor(scene_dir.parent / "other" / "poses.gymt", load_tensor(scene_dir / "poses.gymt"))
+    _edit_manifest(scene_dir, lambda m: m["poses"].update(file="../other/poses.gymt"))
+
+
+def _flat_upsampler(scene_dir):
+    upsampler = load_tensor(scene_dir / "upsampler.gymt")
+    save_tensor(scene_dir / "upsampler.gymt", upsampler.ravel())
+    _edit_manifest(scene_dir, lambda m: m["upsampler"].update(shape=[upsampler.size]))
+
+
+def _old_layout(scene_dir):
+    (scene_dir / "manifest.json").unlink()
+    (scene_dir / "topology.json").write_text('{"n_coarse": 6, "n_fine": 10}\n')
+
+
+@pytest.mark.parametrize("corrupt, code", [
+    (lambda d: _edit_manifest(d, lambda m: m.pop("feats")), 5),
+    (_file_outside, 5),
+    (lambda d: save_tensor(d / "faces.gymt", load_tensor(d / "faces.gymt") + 0.5), 5),
+    (_flat_upsampler, 5),
+    (_old_layout, 4),
+], ids=["missing_array", "file_outside", "fractional_face", "flat_upsampler",
+        "old_layout"])
+def test_cli_eval_malformed_scene_exit_code(tmp_path, capsys, corrupt, code):
+    cfg_path = _write_cfg(tmp_path)
+    save_scene(synth_generate(_small_cfg()), tmp_path / "scene")
+    corrupt(tmp_path / "scene")
+    assert main(["eval", "--config", str(cfg_path),
+                 "--checkpoint", str(tmp_path / "unused.json"),
+                 "--report", str(tmp_path / "report.csv"),
+                 "--scene", str(tmp_path / "scene")]) == code
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == {4: "io", 5: "contract"}[code]
+    if code == 4:
+        assert "manifest.json" in err["message"]
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_export_mesh_records_no_tape(tmp_path, capsys, monkeypatch):
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    made = _count_made(monkeypatch)
+    assert main(["export-mesh", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--frame", "1", "--out", str(tmp_path / "frame.obj")]) == 0
+    assert made["all"] > 0
+    assert made["taped"] == 0
 
 
 @pytest.mark.parametrize("frame", [-1, SMALL["t_frames"]], ids=["negative", "past_end"])
@@ -370,3 +473,11 @@ def test_cli_gradcheck_filtered(capsys):
     assert main(["gradcheck", "--module", "temporal"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_benchmark_tracer_binds_every_name(monkeypatch):
+    # the benchmark wraps these names from outside the package; a name that
+    # moves or goes would silently drop its figures from a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    assert tracer.Tracer().missing == []

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hypermesh.errors import ContractError, ShapeError
-from hypermesh.metrics import (accel_error, mpjpe, mpvpe, pa_mpjpe,
-                               per_frame_metrics, similarity_align,
-                               write_metric_report)
+from hypermesh.metrics import (accel_error, frame_errors, mpjpe, mpvpe,
+                               pa_mpjpe, similarity_align, write_metric_report)
 
 
 def _rand_seq(rng, t=5, n=6):
@@ -79,13 +78,28 @@ def test_shape_checks():
         mpvpe(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+def test_similarity_align_batch_equals_frame_loop():
+    rng = np.random.default_rng(7)
+    gt = _rand_seq(rng, t=6)
+    pred = 0.8 * gt + rng.normal(size=gt.shape) * 0.1
+    pred[2] = pred[2, :1]  # a collapsed frame keeps scale 1
+    batched = similarity_align(pred, gt)
+    for t in range(gt.shape[0]):
+        assert np.array_equal(batched[t], similarity_align(pred[t], gt[t]))
+
+
 def test_per_frame_metrics_rows():
     rng = np.random.default_rng(5)
     gt = _rand_seq(rng, t=3)
     pred = gt + 0.001
-    rows = per_frame_metrics(pred, gt, pred, gt)
-    assert [r["frame"] for r in rows] == [0, 1, 2]
-    assert all(np.isfinite(r["mpvpe_mm"]) for r in rows)
+    cols = frame_errors(pred, gt, pred, gt)
+    assert list(cols) == ["mpjpe_mm", "pa_mpjpe_mm", "mpvpe_mm"]
+    assert all(c.shape == (3,) and np.all(np.isfinite(c)) for c in cols.values())
+    for t in range(3):
+        one = [pred[t:t + 1], gt[t:t + 1]]
+        assert cols["mpjpe_mm"][t] == mpjpe(*one)
+        assert cols["pa_mpjpe_mm"][t] == pa_mpjpe(*one)
+        assert cols["mpvpe_mm"][t] == mpvpe(*one)
 
 
 def test_metric_report_csv(tmp_path):
@@ -93,8 +107,11 @@ def test_metric_report_csv(tmp_path):
     gt = _rand_seq(rng, t=4)
     pred = gt + 0.002
     path = tmp_path / "report.csv"
-    write_metric_report(path, pred, gt, pred, gt)
+    summary = write_metric_report(path, pred, gt, pred, gt)
     lines = path.read_text().splitlines()
     assert lines[0] == "frame,mpjpe_mm,pa_mpjpe_mm,mpvpe_mm"
     assert len(lines) == 1 + 4 + 1
+    assert [line.split(",")[0] for line in lines[1:-1]] == ["0", "1", "2", "3"]
     assert lines[-1].startswith("sequence_accel_mm_per_frame2,")
+    assert summary == {"mpjpe_mm": mpjpe(pred, gt), "pa_mpjpe_mm": pa_mpjpe(pred, gt),
+                       "mpvpe_mm": mpvpe(pred, gt), "accel_error_mm": accel_error(pred, gt)}

@@ -39,15 +39,6 @@ def test_topology_validation():
                      _topology().upsampler)
 
 
-def test_topology_save_load_roundtrip(tmp_path):
-    topo = _topology()
-    path = topo.save(tmp_path)
-    back = MeshTopology.load(path)
-    np.testing.assert_array_equal(back.upsampler, topo.upsampler)
-    np.testing.assert_array_equal(back.edges, topo.edges)
-    np.testing.assert_array_equal(back.faces, topo.faces)
-
-
 def test_fuse_and_upsample_linear():
     topo = _topology()
     rng = np.random.default_rng(0)
