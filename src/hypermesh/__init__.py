@@ -7,15 +7,14 @@ synthetic-scene training harness.
 """
 
 from .config import PipelineConfig
-from .manifold import (BallParams, conformal_factor, expmap0, logmap0,
-                       mobius_add, mobius_matvec, project_to_ball)
+from .manifold import (BallParams, expmap0, logmap0, mobius_add, mobius_matvec,
+                       project_to_ball)
 from .tensor import Tensor
 
 __all__ = [
     "BallParams",
     "PipelineConfig",
     "Tensor",
-    "conformal_factor",
     "expmap0",
     "logmap0",
     "mobius_add",

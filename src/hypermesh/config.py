@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +61,8 @@ class PipelineConfig:
             if (not isinstance(value, _TYPES[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            # NaN, infinities and integers too large for a float64
+            if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
@@ -124,7 +125,7 @@ class PipelineConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -6,7 +6,7 @@ consults the reverse-mode rules it is checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,9 +19,6 @@ from .tensor import Tensor
 class GradcheckReport:
     max_rel_err: float
     tol: float
-    step: float
-    per_input: list[np.ndarray] = field(repr=False, default_factory=list)
-    checked_entries: int = 0
 
     @property
     def passed(self) -> bool:
@@ -53,9 +50,7 @@ def gradcheck(f: Callable[..., Tensor],
         raise ContractError("gradcheck requires a scalar-valued function")
     out.backward()
 
-    per_input: list[np.ndarray] = []
-    max_err = 0.0
-    checked = 0
+    errs = [0.0]
     for x in inputs:
         analytic = x.grad if x.grad is not None else np.zeros(x.shape)
         flat = x.data.reshape(-1)
@@ -66,7 +61,6 @@ def gradcheck(f: Callable[..., Tensor],
             idxs = rng.choice(n, size=max_entries, replace=False)
         else:
             idxs = np.arange(n)
-        errs = np.zeros(n)
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + step
@@ -75,10 +69,6 @@ def gradcheck(f: Callable[..., Tensor],
             fm = float(f(*inputs).data)
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * step)
-            errs[i] = _rel_err(float(analytic.reshape(-1)[i]), numeric)
-            checked += 1
-        per_input.append(errs.reshape(x.shape))
-        if len(idxs):
-            max_err = max(max_err, float(errs.max()))
-    return GradcheckReport(max_rel_err=max_err, tol=tol, step=step,
-                           per_input=per_input, checked_entries=checked)
+            errs.append(_rel_err(float(analytic.reshape(-1)[i]), numeric))
+    # np.max keeps a NaN error, where max() would drop it and pass the check
+    return GradcheckReport(max_rel_err=float(np.max(errs)), tol=tol)

@@ -145,8 +145,3 @@ class HyperFFN(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(hyper_gelu(self.lin1(x), self.params))
 
-
-def mobius_residual(block_out: Tensor, residual: Tensor,
-                    params: BallParams = DEFAULT_PARAMS) -> Tensor:
-    """Möbius residual connection, fixed order: block_output (+) residual."""
-    return mobius_add(block_out, residual, params)

@@ -115,13 +115,6 @@ def project_to_ball(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     return T._make(data, "project_to_ball", (x,), lambda g: (vjp(g),))
 
 
-def conformal_factor(x: Tensor) -> Tensor:
-    """lambda_x = 2 / (1 - ||x||^2), the metric scaling at x; >= 2 on the ball."""
-    x = T.as_tensor(x)
-    sq = (x * x).sum(axis=-1)
-    return 2.0 / (1.0 - sq)
-
-
 def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     """Möbius addition x (+) y, projected back to the ball.
 

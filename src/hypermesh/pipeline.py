@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError, TopologyError
-from .layers import (HyperAdaLN, HyperAttention, HyperFFN, Linear,
-                     mobius_residual)
-from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0
+from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear
+from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add
 from .module import Module
 from .temporal import TemporalPriorExtractor
 from .tensor import Tensor
@@ -34,8 +33,13 @@ class MeshTopology:
     upsampler: np.ndarray   # [n_fine, n_coarse], row-stochastic
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        for name, width in (("edges", 2), ("faces", 3)):
+            a = np.asarray(getattr(self, name))
+            if (a.dtype.kind not in "iuf" or a.ndim != 2 or a.shape[1] != width
+                    or not np.isfinite(a).all() or not np.array_equal(a, np.floor(a))):
+                raise TopologyError(f"{name} must be an [n, {width}] array of "
+                                    f"integers, got shape {a.shape}")
+            setattr(self, name, a.astype(np.int64))
         self.upsampler = np.asarray(self.upsampler, dtype=np.float64)
         if self.upsampler.shape != (self.n_fine, self.n_coarse):
             raise TopologyError(
@@ -75,7 +79,9 @@ class OptBlock(Module):
     positional encodings, lift to the ball, condition the mesh tokens on the
     frame's prior row (adaptive LN), cross-attend mesh<-pose, then a
     self-attention stage, each followed by conditioned FFN sub-blocks with
-    Möbius residuals, and finally map back to Euclidean coordinates.
+    Möbius residuals (``mobius_add(block_output, residual)``, in that order:
+    the addition does not commute), and finally map back to Euclidean
+    coordinates.
     One call runs every frame: ``cond`` [T, 1, D_f] and ``pose`` [T, J, 3]
     give [T, n_tokens, 3]. The frame-independent mesh-token prefix is
     computed once and broadcast over the frames by the first adaptive LN.
@@ -111,12 +117,12 @@ class OptBlock(Module):
         p_hat = expmap0(pose_tokens, p)
 
         m_mix = self.adaln_in(m_hat, cond)
-        x_pm = mobius_residual(self.cross_att(m_mix, p_hat), m_mix, p)
+        x_pm = mobius_add(self.cross_att(m_mix, p_hat), m_mix, p)
         x_ada = self.adaln_mid(x_pm, cond)
-        x_m = mobius_residual(self.ffn_mid(x_ada), x_pm, p)
+        x_m = mobius_add(self.ffn_mid(x_ada), x_pm, p)
 
-        x_p = mobius_residual(self.self_att(x_m, x_m), x_m, p)
-        m_ref = mobius_residual(self.ffn_out(self.adaln_out(x_p, cond)), x_p, p)
+        x_p = mobius_add(self.self_att(x_m, x_m), x_m, p)
+        m_ref = mobius_add(self.ffn_out(self.adaln_out(x_p, cond)), x_p, p)
 
         return self.head(logmap0(m_ref, p))
 

@@ -121,12 +121,6 @@ def load_scene(directory: str | Path) -> SyntheticScene:
     upsampler = arrays["upsampler"]
     if upsampler.ndim != 2:
         raise ContractError(f"scene upsampler must be 2-D, got shape {upsampler.shape}")
-    for name, width in (("edges", 2), ("faces", 3)):
-        a = arrays[name]
-        if (a.ndim != 2 or a.shape[1] != width or not np.isfinite(a).all()
-                or not np.array_equal(a, np.floor(a))):
-            raise ContractError(f"scene {name} must be an [n, {width}] array of "
-                                f"integers, got shape {a.shape}")
     return SyntheticScene(
         poses=arrays["poses"], coarse_meshes=arrays["coarse_meshes"],
         fine_meshes=arrays["fine_meshes"], feats=arrays["feats"],

@@ -37,26 +37,26 @@ class GruCell(Module):
         self.hidden_dim = hidden_dim
         self.input_dim = input_dim
 
-    def step(self, x_t: Tensor, h: Tensor) -> Tensor:
-        z = T.sigmoid(x_t @ self.w_z.T + h @ self.u_z.T + self.b_z)
-        r = T.sigmoid(x_t @ self.w_r.T + h @ self.u_r.T + self.b_r)
-        cand = T.tanh(x_t @ self.w_h.T + (r * h) @ self.u_h.T + self.b_h)
-        return (1.0 - z) * cand + z * h
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"GRU expects [T, {self.input_dim}], got {x.shape}")
-        t_frames = x.shape[0]
+        # one transpose per weight per call, shared by every step
+        w_z, u_z, w_r, u_r, w_h, u_h = (w.T for w in (
+            self.w_z, self.u_z, self.w_r, self.u_r, self.w_h, self.u_h))
         h = Tensor(np.zeros((1, self.hidden_dim)))
         outputs = []
-        for t in range(t_frames):
-            h = self.step(x[t:t + 1], h)
+        for t in range(x.shape[0]):
+            x_t = x[t:t + 1]
+            z = T.sigmoid(x_t @ w_z + h @ u_z + self.b_z)
+            r = T.sigmoid(x_t @ w_r + h @ u_r + self.b_r)
+            cand = T.tanh(x_t @ w_h + (r * h) @ u_h + self.b_h)
+            h = (1.0 - z) * cand + z * h
             outputs.append(h)
         return T.concat(outputs, axis=0)
 
 
 class EuclideanAttention(Module):
-    """Standard multi-head self/cross attention over token rows."""
+    """Standard multi-head self-attention over token rows."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -68,11 +68,8 @@ class EuclideanAttention(Module):
         self.heads = heads
         self.dim = dim
 
-    def __call__(self, queries_src: Tensor, keys_src: Tensor | None = None) -> Tensor:
-        if keys_src is None:
-            keys_src = queries_src
-        ctx = attention(queries_src @ self.w_q.T, keys_src @ self.w_k.T,
-                        keys_src @ self.w_v.T, self.heads)
+    def __call__(self, x: Tensor) -> Tensor:
+        ctx = attention(x @ self.w_q.T, x @ self.w_k.T, x @ self.w_v.T, self.heads)
         return ctx @ self.w_o.T
 
 

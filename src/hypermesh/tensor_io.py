@@ -9,6 +9,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -41,7 +42,7 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 
 def save_tensor(path: str | Path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    arr = np.asarray(array, dtype="<f8")  # tobytes() is row-major; keeps 0-d shapes
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
@@ -50,10 +51,11 @@ def save_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    # sized against the file before reading: a corrupt header must not turn
+    # into one huge read request
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ContractError(f"{path}: truncated {what}")
-    return data
+    return fh.read(size)
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
@@ -63,11 +65,14 @@ def load_tensor(path: str | Path) -> np.ndarray:
             raise ContractError(f"{path}: bad magic {magic!r}")
         (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "header"))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)  # Python ints: np.prod wraps around in int64
         payload = _read_exact(fh, 8 * count, path, "payload")
         if fh.read(1):
             raise ContractError(f"{path}: trailing bytes after the payload")
-        return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # more axes than numpy supports
+            raise ContractError(f"{path}: {exc}") from None
 
 
 def _file_name(name: str) -> str:
@@ -103,7 +108,7 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
             raise ContractError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ContractError(f"{manifest_path}: manifest must be a JSON object")

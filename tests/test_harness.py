@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,25 @@ def test_tensor_io_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ContractError, match="trailing"):
         load_tensor(path)
+
+
+def test_tensor_io_sizes_the_payload_exactly(tmp_path):
+    # four dims of 65536 hold 2**64 elements, which wrap to 0 in int64
+    path = tmp_path / "t.gymt"
+    path.write_bytes(tensor_io.MAGIC + struct.pack("<5I", 4, *[65536] * 4))
+    with pytest.raises(ContractError, match="truncated payload"):
+        load_tensor(path)
+    # 70 axes of length 1: more than numpy supports
+    path.write_bytes(tensor_io.MAGIC + struct.pack("<71I", 70, *[1] * 70) + bytes(8))
+    with pytest.raises(ContractError):
+        load_tensor(path)
+
+
+def test_tensor_io_keeps_a_zero_dim_shape(tmp_path):
+    path = tmp_path / "t.gymt"
+    save_tensor(path, np.float64(2.5))
+    back = load_tensor(path)
+    assert back.shape == () and back == 2.5
 
 
 def test_checkpoint_file_entry_must_stay_in_its_directory(tmp_path):
@@ -357,8 +377,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ({"lambda_edge": -1}, "lambda_edge"),
     ({"learning_rate": float("nan")}, "learning_rate"),
     ({"lambda_mesh": float("inf")}, "lambda_mesh"),
+    ({"eps_ball": 10 ** 400}, "eps_ball"),
 ], ids=["wrong_type", "out_of_range", "removed_field", "negative_loss_weight",
-        "nan_learning_rate", "infinite_loss_weight"])
+        "nan_learning_rate", "infinite_loss_weight", "int_beyond_float64"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
@@ -369,13 +390,25 @@ def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     assert not (tmp_path / "scene").exists()
 
 
+@pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["synth", "--config", str(path),
+                 "--out", str(tmp_path / "scene")]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 @pytest.mark.parametrize("manifest", [
     '[{"file": "template.gymt", "shape": [6, 3]}]',
     '{"template": 3}',
     '{"template": {"shape": [6, 3]}}',
     '{"template": {"file": "template.gymt"}}',
     '{"template": ',
-], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json"])
+    "[" * 100_000,
+], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json",
+        "nested_too_deep"])
 def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
@@ -473,6 +506,23 @@ def test_cli_gradcheck_filtered(capsys):
     assert main(["gradcheck", "--module", "temporal"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_gradcheck_inputs_depend_on_the_entry_name_alone(monkeypatch):
+    # so that `gradcheck --module X` checks what a full run checks
+    from hypermesh import checks
+    registry = checks.gradcheck_registry()
+    temporal = [e for e in registry if e[0] == "temporal"]
+    others = [e for e in registry if e[1] in ("gelu", "mobius_add")]
+
+    def errors(entries):
+        monkeypatch.setattr(checks, "gradcheck_registry", lambda: entries)
+        return sorted((r["check"], r["max_rel_err"]) for r in checks.run_gradchecks()
+                      if r["module"] == "temporal")
+
+    alone = errors(temporal)
+    assert errors(others + temporal) == alone
+    assert errors(temporal[::-1]) == alone
 
 
 def test_benchmark_tracer_binds_every_name(monkeypatch):

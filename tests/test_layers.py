@@ -8,8 +8,8 @@ from hypermesh.checks import (adaln_oracle, check_adaln_oracle,
 from hypermesh.errors import ShapeError
 from hypermesh.gradcheck import gradcheck
 from hypermesh.layers import (HyperAdaLN, HyperAttention, HyperbolicLinear,
-                              HyperFFN, Linear, hyper_gelu, mobius_residual)
-from hypermesh.manifold import DEFAULT_PARAMS, expmap0, logmap0, mobius_add
+                              HyperFFN, Linear, hyper_gelu)
+from hypermesh.manifold import DEFAULT_PARAMS, expmap0, logmap0
 from hypermesh.tensor import Tensor
 
 
@@ -103,14 +103,6 @@ def test_ffn_output_on_ball():
     out = ffn(x).data
     norms = np.sqrt((out * out).sum(axis=-1))
     assert norms.max() <= 1.0 - DEFAULT_PARAMS.eps_ball + 1e-12
-
-
-def test_mobius_residual_order():
-    rng = np.random.default_rng(9)
-    a = Tensor(random_ball_points(rng, (4, 3), max_norm=0.8))
-    b = Tensor(random_ball_points(rng, (4, 3), max_norm=0.8))
-    np.testing.assert_array_equal(mobius_residual(a, b).data,
-                                  mobius_add(a, b).data)
 
 
 def test_layer_gradchecks():

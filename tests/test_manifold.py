@@ -7,9 +7,8 @@ from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               check_matvec_formulations, check_noncommutativity,
                               random_ball_points)
 from hypermesh.errors import ContractError, NumericError, ShapeError
-from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, conformal_factor,
-                                expmap0, logmap0, mobius_add, mobius_matvec,
-                                project_to_ball)
+from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0,
+                                mobius_add, mobius_matvec, project_to_ball)
 from hypermesh.tensor import Tensor
 
 TANH_HALF = math.tanh(0.5)
@@ -20,18 +19,6 @@ def test_ball_params_validation():
         BallParams(eps_ball=0.5)
     with pytest.raises(ContractError):
         BallParams(eps_ball=1e-5, eps_norm=1e-4)
-
-
-def test_conformal_factor_values():
-    assert conformal_factor(Tensor([0.0, 0.0])).item() == 2.0
-    np.testing.assert_allclose(conformal_factor(Tensor([0.6, 0.0])).item(), 3.125)
-
-
-def test_conformal_factor_diverges_near_boundary():
-    p = DEFAULT_PARAMS
-    x = Tensor([1.0 - p.eps_ball, 0.0])
-    lam = conformal_factor(x).item()
-    assert lam > 0.9 * (2.0 / (2.0 * p.eps_ball))
 
 
 def test_mobius_add_identity():

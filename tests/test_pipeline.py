@@ -37,6 +37,12 @@ def test_topology_validation():
     with pytest.raises(TopologyError):
         MeshTopology(4, 6, np.zeros((0, 2)), np.array([[0, 1, 17]]),
                      _topology().upsampler)
+    # fractional, flat, ragged and non-numeric index arrays are refused, not cast
+    up = _topology().upsampler
+    for edges, faces in (([[0, 1]], [[0.5, 1.5, 2.5]]), ([0, 1, 1, 2], [[0, 1, 2]]),
+                         ([[0, 1]], np.arange(8.0)), ([["0", "1"]], [[0, 1, 2]])):
+        with pytest.raises(TopologyError):
+            MeshTopology(4, 6, np.array(edges), np.array(faces), up)
 
 
 def test_fuse_and_upsample_linear():
@@ -210,9 +216,10 @@ def test_weight_tied_blocks_match_on_identical_streams():
 
 def test_opt_block_matches_composition_reference():
     # slow reference: re-compose the block from its own sub-layers one call
-    # at a time, mirroring the documented forward order
-    from hypermesh.layers import mobius_residual
-    from hypermesh.manifold import expmap0, logmap0
+    # at a time, mirroring the documented forward order. Every residual is
+    # mobius_add(block_output, residual); the addition does not commute, so
+    # swapping any one of the four fails the match
+    from hypermesh.manifold import expmap0, logmap0, mobius_add
 
     cfg = _small_cfg()
     scene = synth_generate(cfg)
@@ -227,10 +234,10 @@ def test_opt_block_matches_composition_reference():
     m_hat = expmap0(block.embed_mesh(m_init) + block.pos_mesh, p)
     p_hat = expmap0(block.embed_pose(pose) + block.pos_pose, p)
     m_mix = block.adaln_in(m_hat, tm)
-    x_pm = mobius_residual(block.cross_att(m_mix, p_hat), m_mix, p)
-    x_m = mobius_residual(block.ffn_mid(block.adaln_mid(x_pm, tm)), x_pm, p)
-    x_p = mobius_residual(block.self_att(x_m, x_m), x_m, p)
-    m_ref = mobius_residual(block.ffn_out(block.adaln_out(x_p, tm)), x_p, p)
+    x_pm = mobius_add(block.cross_att(m_mix, p_hat), m_mix, p)
+    x_m = mobius_add(block.ffn_mid(block.adaln_mid(x_pm, tm)), x_pm, p)
+    x_p = mobius_add(block.self_att(x_m, x_m), x_m, p)
+    m_ref = mobius_add(block.ffn_out(block.adaln_out(x_p, tm)), x_p, p)
     want = block.head(logmap0(m_ref, p)).data
     np.testing.assert_allclose(got, want, atol=1e-9)
 

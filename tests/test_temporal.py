@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypermesh import tensor as T
 from hypermesh.checks import (check_gru_oracle, euclidean_attention_oracle,
                               gru_loop_oracle)
 from hypermesh.errors import ContractError, ShapeError
@@ -27,6 +28,14 @@ def test_gru_shape_error():
     cell = GruCell(3, 4, np.random.default_rng(1))
     with pytest.raises(ShapeError):
         cell(Tensor(np.zeros((5, 2))))
+
+
+@pytest.mark.parametrize("t_frames", [4, 16])
+def test_gru_transposes_each_weight_once_per_call(t_frames):
+    rng = np.random.default_rng(5)
+    cell = GruCell(3, 4, rng)
+    out = cell(Tensor(rng.normal(size=(t_frames, 3))))
+    assert sum(node._op == "transpose" for node in T.tape_order(out)) == 6
 
 
 def test_gru_gradcheck():

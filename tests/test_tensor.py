@@ -144,6 +144,13 @@ def test_gradcheck_rejects_nonscalar():
         gradcheck(lambda t: t * 2.0, [x])
 
 
+def test_gradcheck_fails_on_a_nan_error():
+    x, y = Tensor(np.ones(3)), Tensor(np.ones(3))
+    nan = Tensor(np.full(3, np.nan))
+    report = gradcheck(lambda a, b: (a * nan + b).sum(), [x, y])
+    assert np.isnan(report.max_rel_err) and not report.passed
+
+
 def test_scene_loss_backward_keeps_grads_only_on_parameters():
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
                          n_coarse=6, n_fine=10, steps=0)
