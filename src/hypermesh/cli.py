@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the gradient-check registry")
     p.add_argument("--module", default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("propcheck", help="run the property-check registry")
     p.add_argument("--module", default=None)
@@ -76,32 +75,36 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .train import evaluate
     cfg = PipelineConfig.load(args.config)
-    scene = load_scene(args.scene) if args.scene else None
+    scene = load_scene(args.scene) if args.scene else synth_generate(cfg)
     summary = evaluate(cfg, args.checkpoint, args.report, scene=scene)
     print(json.dumps(summary))
     return 0
 
 
-def _print_checks(rows: list[dict], kind: str, detail) -> int:
-    """One PASS/FAIL line per check, then the tally; 0 when at least one
-    check ran and every one passed, else 1."""
+def _print_checks(rows: list[dict], kind: str, module, detail) -> int:
+    """One PASS/FAIL line per check, then the tally; 0 when every check
+    passed, else 1. A run that checks nothing is a config error, not a pass."""
+    if not rows:
+        raise ConfigError(f"--module {module!r} selects no {kind}")
     for r in rows:
         print(f"{'PASS' if r['passed'] else 'FAIL'} {r['module']}/{r['check']} {detail(r)}")
     print(f"{sum(r['passed'] for r in rows)}/{len(rows)} {kind} passed")
-    return 0 if rows and all(r["passed"] for r in rows) else 1
+    return 0 if all(r["passed"] for r in rows) else 1
 
 
 def _cmd_gradcheck(args) -> int:
     from .checks import run_gradchecks
-    rows = run_gradchecks(module=args.module, tol_override=args.tol)
-    return _print_checks(rows, "gradchecks", lambda r: (
+    rows = run_gradchecks(module=args.module)
+    return _print_checks(rows, "gradchecks", args.module, lambda r: (
         f"max_rel_err={r['max_rel_err']:.3e} tol={r['tol']:.1e}"))
 
 
 def _cmd_propcheck(args) -> int:
     from .checks import run_propchecks
+    if args.cases is not None and args.cases < 1:
+        raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     rows = run_propchecks(module=args.module, cases=args.cases)
-    return _print_checks(rows, "propchecks", lambda r: f"cases={r['cases']}" + (
+    return _print_checks(rows, "propchecks", args.module, lambda r: f"cases={r['cases']}" + (
         "" if r["passed"] else f" ({r.get('detail', '')})"))
 
 

@@ -15,11 +15,10 @@ from .manifold import POLICIES, BallParams
 from .tensor_io import atomic_write
 
 # accepted value types, by field annotation
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
-          "float | None": (numbers.Real, type(None))}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
-@dataclass
+@dataclass(frozen=True)  # validated once, here: a field set later would bypass the checks
 class PipelineConfig:
     # sequence / model dimensions
     t_frames: int = 4
@@ -41,11 +40,8 @@ class PipelineConfig:
     lambda_hyper: float = 1.0
     lambda_normal: float = 0.1
     lambda_edge: float = 20.0
-    hymesh_scale: float = 1.0
-    # numerics
+    # numerics: the ball margins of manifold.POLICIES[float_width]
     float_width: str = "wide"
-    eps_ball: float | None = None
-    eps_norm: float | None = None
     # synthetic scene shaping
     motion_amplitude: float = 0.15
     feature_noise: float = 0.01
@@ -53,7 +49,6 @@ class PipelineConfig:
     root_joint: int = 0
     # paths
     template_mesh_path: str = ""
-    output_dir: str = "out"
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -66,20 +61,16 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
-        for name in ("n_joints", "feat_dim", "model_dim", "heads", "n_coarse",
-                     "n_fine"):
+        for name in ("n_joints", "feat_dim", "model_dim", "heads", "n_coarse", "n_fine"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.feat_dim % self.heads != 0:
-            raise ConfigError(
-                f"feat_dim {self.feat_dim} not divisible by heads {self.heads}")
-        if self.n_coarse < self.n_joints:
-            raise ConfigError("n_coarse must be >= n_joints")
-        if self.n_fine < self.n_coarse:
-            raise ConfigError("n_fine must be >= n_coarse")
+        for name in ("model_dim", "feat_dim"):
+            if getattr(self, name) % self.heads != 0:
+                raise ConfigError(
+                    f"{name} {getattr(self, name)} not divisible by heads {self.heads}")
+        for small, large in (("n_joints", "n_coarse"), ("n_coarse", "n_fine")):
+            if getattr(self, large) < getattr(self, small):
+                raise ConfigError(f"{large} must be >= {small}")
         if self.float_width not in POLICIES:
             raise ConfigError(
                 f"float_width must be one of {sorted(POLICIES)}, got {self.float_width!r}")
@@ -87,30 +78,21 @@ class PipelineConfig:
             raise ConfigError(f"root_joint {self.root_joint} out of range")
         if self.steps < 0 or self.learning_rate < 0:
             raise ConfigError("steps and learning_rate must be nonnegative")
-        self._ball = POLICIES[self.float_width]
-        if self.eps_ball is not None or self.eps_norm is not None:
-            eps_ball = self._ball.eps_ball if self.eps_ball is None else self.eps_ball
-            eps_norm = eps_ball * 1e-7 if self.eps_norm is None else self.eps_norm
-            try:
-                self._ball = BallParams(eps_ball=eps_ball, eps_norm=eps_norm)
-            except ContractError as exc:
-                raise ConfigError(str(exc)) from exc
         try:
-            self._weights = LossWeights(**{f.name: getattr(self, f.name)
-                                           for f in dataclasses.fields(LossWeights)})
+            object.__setattr__(self, "_weights", LossWeights(
+                **{f.name: getattr(self, f.name) for f in dataclasses.fields(LossWeights)}))
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
 
     def ball_params(self) -> BallParams:
-        return self._ball
+        return POLICIES[self.float_width]
 
     def loss_weights(self) -> LossWeights:
         return self._weights
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)

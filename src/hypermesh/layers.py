@@ -67,11 +67,12 @@ class HyperAdaLN(Module):
     A cond [T, 1, cond_dim] conditions frame t's token rows on its row t.
     """
 
+    eps_var = 1e-5  # variance floor of the normalization
+
     def __init__(self, feat_dim: int, cond_dim: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS, eps_var: float = 1e-5):
+                 params: BallParams = DEFAULT_PARAMS):
         self.gamma_proj = Linear(cond_dim, feat_dim, rng, bias_init=1.0)
         self.beta_proj = Linear(cond_dim, feat_dim, rng)
-        self.eps_var = eps_var
         self.params = params
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:

@@ -40,7 +40,7 @@ class JointRegressor:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise ShapeError("joint regressor must be 2-D")
-        if np.any(np.abs(self.matrix.sum(axis=1) - 1.0) > 1e-9):
+        if not np.all(np.abs(self.matrix.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails
             raise ContractError("joint regressor rows must sum to 1 within 1e-9")
 
     def __call__(self, vertices: Tensor) -> Tensor:
@@ -57,18 +57,16 @@ class EuclideanLosses:
 
 
 def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor,
-                         params: BallParams = DEFAULT_PARAMS,
-                         scale: float = 1.0) -> Tensor:
+                         params: BallParams = DEFAULT_PARAMS) -> Tensor:
     """Mean per-vertex L1 distance after mapping both meshes onto the ball.
 
-    Meshes are [n, 3] or [T, n, 3] (the mean pools all frames). ``scale``
-    rescales meter coordinates before the exponential map; the default
-    assumes O(1) vertex coordinates.
+    Meshes are [n, 3] or [T, n, 3] (the mean pools all frames); vertex
+    coordinates in meters are O(1), so they enter the exponential map as they are.
     """
     if pred.shape != gt.shape:
         raise ShapeError(f"mesh shapes differ: {pred.shape} vs {gt.shape}")
-    e_pred = expmap0(pred * scale, params)
-    e_gt = expmap0(gt * scale, params)
+    e_pred = expmap0(pred, params)
+    e_gt = expmap0(gt, params)
     return T.tabs(e_gt - e_pred).sum(axis=-1).mean()
 
 

@@ -44,10 +44,10 @@ class MeshTopology:
         if self.upsampler.shape != (self.n_fine, self.n_coarse):
             raise TopologyError(
                 f"upsampler shape {self.upsampler.shape} != ({self.n_fine}, {self.n_coarse})")
-        if np.any(self.upsampler < 0):
+        if not np.all(self.upsampler >= 0):  # NaN fails both tests
             raise TopologyError("upsampler has negative entries")
         row_sums = self.upsampler.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
+        if not np.all(np.abs(row_sums - 1.0) <= 1e-9):
             raise TopologyError("upsampler rows must sum to 1 within 1e-9")
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.n_coarse):
             raise TopologyError("edge index out of range")

@@ -17,8 +17,11 @@ from .losses import JointRegressor
 from .pipeline import MeshTopology
 from .tensor_io import load_checkpoint, save_checkpoint
 
-SCENE_ARRAYS = ("poses", "coarse_meshes", "fine_meshes", "feats", "regressor",
-                "upsampler", "edges", "faces")
+# the config field that sizes each axis of a scene array ("xyz" has length 3)
+SCENE_AXES = {"poses": "t_frames n_joints xyz", "coarse_meshes": "t_frames n_coarse xyz",
+              "fine_meshes": "t_frames n_fine xyz", "feats": "t_frames feat_dim",
+              "regressor": "n_joints n_fine", "upsampler": "n_fine n_coarse"}
+SCENE_ARRAYS = (*SCENE_AXES, "edges", "faces")
 
 
 @dataclass
@@ -29,6 +32,21 @@ class SyntheticScene:
     feats: np.ndarray          # [T, feat_dim]
     topology: MeshTopology
     regressor: JointRegressor
+
+    def check(self, cfg: PipelineConfig) -> None:
+        """Raise ContractError unless every array is finite and sized by ``cfg``."""
+        arrays = {**vars(self), "regressor": self.regressor.matrix,
+                  "upsampler": self.topology.upsampler}
+        for name, axes in SCENE_AXES.items():
+            a, axes = arrays[name], axes.split()
+            for axis, got in zip(axes, a.shape):
+                want = 3 if axis == "xyz" else getattr(cfg, axis)
+                if got != want:
+                    raise ContractError(f"scene {name}: {axis} is {got} in the scene "
+                                        f"but {want} in the config")
+            if a.ndim != len(axes) or not np.isfinite(a).all():
+                raise ContractError(f"scene {name} must be a finite [{', '.join(axes)}] "
+                                    f"array, got shape {a.shape}")
 
 
 def fibonacci_sphere(n: int, radius: float = 0.5) -> np.ndarray:

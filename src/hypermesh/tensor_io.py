@@ -119,7 +119,7 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
             raise ContractError(
                 f"checkpoint entry {name}: needs a string \"file\" and a list \"shape\"")
         fname = entry["file"]
-        if fname in ("", "..") or Path(fname).name != fname:
+        if fname in ("", "..") or Path(fname).name != fname or not fname.isprintable():
             raise ContractError(
                 f"checkpoint entry {name}: file {fname!r} is not a file name "
                 "in the manifest's directory")

@@ -14,7 +14,7 @@ from . import tensor as T
 from .config import PipelineConfig
 from .errors import NumericError
 from .losses import euclidean_losses, hyperbolic_mesh_loss, total_loss
-from .manifold import BallParams, ball_clamp
+from .manifold import BallParams, DEFAULT_PARAMS, ball_clamp
 from .metrics import write_metric_report
 from .pipeline import MeshPipeline
 from .synth import SyntheticScene, fibonacci_sphere, synth_generate
@@ -28,7 +28,7 @@ class SGD:
     re-projected onto the ball after every update."""
 
     def __init__(self, params, ball_params_list, lr: float, momentum: float = 0.0,
-                 ball: BallParams = BallParams()):
+                 ball: BallParams = DEFAULT_PARAMS):
         self.params = list(params)
         self.ball_set = {id(p) for p in ball_params_list}
         self.lr = lr
@@ -52,6 +52,7 @@ class SGD:
 
 
 def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
+    scene.check(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     if cfg.template_mesh_path:
         template = load_tensor(cfg.template_mesh_path)
@@ -72,8 +73,7 @@ def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfi
     eu = euclidean_losses(result.m_out.vertices, gt_fine,
                           result.m_opt.vertices, Tensor(scene.coarse_meshes),
                           scene.regressor, scene.topology)
-    hy = hyperbolic_mesh_loss(result.m_out.vertices, gt_fine, cfg.ball_params(),
-                              scale=cfg.hymesh_scale)
+    hy = hyperbolic_mesh_loss(result.m_out.vertices, gt_fine, cfg.ball_params())
     return total_loss(eu, hy, cfg.loss_weights())
 
 
@@ -105,10 +105,10 @@ class TrainResult:
 
 
 def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
-              out_dir: str | Path | None = None) -> TrainResult:
+              *, out_dir: str | Path) -> TrainResult:
     if scene is None:
         scene = synth_generate(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     pipeline = build_pipeline(cfg, scene)
@@ -158,11 +158,9 @@ def predict(cfg: PipelineConfig, checkpoint_manifest: str | Path,
 
 
 def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
-             report_path: str | Path, scene: SyntheticScene | None = None) -> dict:
-    """Load a checkpoint, run the pipeline, write the per-frame metric CSV and
-    return its summary: each column's mean and ``accel_error_mm``."""
-    if scene is None:
-        scene = synth_generate(cfg)
+             report_path: str | Path, scene: SyntheticScene) -> dict:
+    """Load a checkpoint, run the pipeline on the scene, write the per-frame
+    metric CSV and return its summary: each column's mean and ``accel_error_mm``."""
     pred_fine = predict(cfg, checkpoint_manifest, scene)
     pred_joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, pred_fine)
     return write_metric_report(report_path, pred_joints, scene.poses,

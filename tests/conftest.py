@@ -21,6 +21,7 @@ class BallNormObserver:
     def reset(self) -> None:
         self.max_norm = 0.0
         self.outputs = 0
+        self.op_max: dict[str, float] = {}  # the largest norm, per op
 
     def exceeds(self, p: BallParams) -> bool:
         """True when no ball op ran, or one left the shell 1 - eps_ball."""
@@ -28,8 +29,9 @@ class BallNormObserver:
 
     def __call__(self, data, op, parents, backward):
         if op in BALL_OPS and data.size:
-            self.max_norm = max(self.max_norm,
-                                float(np.sqrt((data * data).sum(axis=-1)).max()))
+            norm = float(np.sqrt((data * data).sum(axis=-1)).max())
+            self.op_max[op] = max(self.op_max.get(op, 0.0), norm)
+            self.max_norm = max(self.max_norm, norm)
             self.outputs += 1
         return self._make(data, op, parents, backward)
 

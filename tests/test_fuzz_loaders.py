@@ -2,8 +2,9 @@
 
 Every input either round-trips exactly or raises the documented error:
 ``ContractError`` (exit 5) for tensor files, ``ConfigError`` (exit 3) for
-configs. The examples are derandomized, so the suite sees the same inputs on
-every run; raise ``max_examples`` locally to search further.
+configs, and for checkpoints and scenes a contract error (exit 5) or an
+``OSError`` (exit 4). The examples are derandomized, so the suite sees the
+same inputs on every run; raise ``max_examples`` locally to search further.
 """
 
 import dataclasses
@@ -13,11 +14,14 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hypermesh.config import PipelineConfig
-from hypermesh.errors import ConfigError, ContractError
-from hypermesh.tensor_io import MAGIC, load_tensor, save_tensor
+from hypermesh.errors import ConfigError, ContractError, HypermeshError
+from hypermesh.synth import load_scene, save_scene, synth_generate
+from hypermesh.tensor_io import (MAGIC, load_checkpoint, load_tensor, save_checkpoint,
+                                 save_tensor)
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -82,3 +86,108 @@ def test_config_load_round_trips_or_raises_config_error(blob):
         cfg.save(path)
         assert PipelineConfig.load(path) == cfg
     _roundtrip_file(blob, "config.json", check)
+
+
+# names a damaged manifest entry may give as its file: ones that leave the
+# directory, name no file or the manifest, or no path can hold
+_ODD_FILES = ["", ".", "..", "../w.gymt", "a/w.gymt", "manifest.json", "none.gymt",
+              "\x00.gymt", "\ud800.gymt", "x" * 300 + ".gymt"]
+
+
+def _damage(data, directory: Path) -> dict[str, np.ndarray]:
+    """Leaves the checkpoint in ``directory`` as it is or damages one thing:
+    the manifest (other bytes, other JSON, one edited entry) or one tensor
+    file (cut short, extended, removed, or replaced by another array with
+    its manifest shape to match). Returns each file's array as last written."""
+    manifest = directory / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    written = {e["file"]: load_tensor(directory / e["file"]) for e in entries.values()}
+    files = sorted(written)
+    kind = data.draw(st.sampled_from(
+        ["none", "bytes", "json", "entry", "cut", "extend", "remove", "replace"]))
+    if kind == "bytes":
+        manifest.write_bytes(data.draw(st.binary(max_size=64)))
+    elif kind == "json":
+        manifest.write_text(json.dumps(data.draw(_JSON)))
+    elif kind == "entry":
+        name = data.draw(st.sampled_from(sorted(entries)))
+        entries[name] = data.draw(st.fixed_dictionaries({}, optional={
+            "file": st.sampled_from(files + _ODD_FILES) | _JSON,
+            "shape": st.just(entries[name]["shape"]) | st.lists(st.integers(-1, 12),
+                                                                max_size=3) | _JSON}))
+        manifest.write_text(json.dumps(entries))
+    elif kind != "none":
+        name = data.draw(st.sampled_from(sorted(entries)))
+        path = directory / entries[name]["file"]
+        blob = path.read_bytes()
+        if kind == "cut":
+            path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        elif kind == "extend":
+            path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=16)))
+        elif kind == "remove":
+            path.unlink()
+        else:
+            shape = data.draw(st.lists(st.integers(0, 12), max_size=3))
+            value = data.draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, np.nan, np.inf]))
+            written[path.name] = np.full(shape, value)
+            save_tensor(path, written[path.name])
+            entries[name]["shape"] = shape
+            manifest.write_text(json.dumps(entries))
+    return written
+
+
+def _as_written(loaded: dict, manifest: Path, written: dict) -> None:
+    """A load that succeeded gives the manifest's names, each with the array
+    last written to the file its entry names."""
+    entries = json.loads(manifest.read_text())
+    assert sorted(loaded) == sorted(entries)
+    for name, arr in loaded.items():
+        want = written[entries[name]["file"]]
+        assert arr.shape == want.shape and np.array_equal(arr, want, equal_nan=True)
+
+
+def _load_or_raise(load, *args):
+    """The load's result, or None when it raised an error that the CLI
+    reports with exit 4 or 5."""
+    try:
+        return load(*args)
+    except OSError:
+        return None
+    except HypermeshError as exc:
+        assert not isinstance(exc, ConfigError), exc
+        return None
+
+
+_PARAM_NAMES = ["w", "b", "hpo.w_q", "prior.gru.u_z", "template"]
+
+
+@FUZZ
+@given(st.data())
+def test_load_checkpoint_round_trips_or_raises(data):
+    names = data.draw(st.lists(st.sampled_from(_PARAM_NAMES), min_size=1, unique=True))
+    params = {name: np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(
+        size=data.draw(st.lists(st.integers(0, 3), max_size=3))) for name in names}
+    with tempfile.TemporaryDirectory() as d:
+        manifest = save_checkpoint(Path(d) / "ckpt", params)
+        written = _damage(data, manifest.parent)
+        loaded = _load_or_raise(load_checkpoint, manifest)
+        if loaded is not None:
+            _as_written(loaded, manifest, written)
+
+
+@FUZZ
+@given(st.data())
+def test_load_scene_round_trips_or_raises(data):
+    cfg = PipelineConfig(t_frames=2, n_joints=2, feat_dim=2, model_dim=2, heads=1,
+                         n_coarse=3, n_fine=4, seed=data.draw(st.integers(0, 99)))
+    with tempfile.TemporaryDirectory() as d:
+        directory = save_scene(synth_generate(cfg), Path(d) / "scene")
+        written = _damage(data, directory)
+        scene = _load_or_raise(load_scene, directory)
+        if scene is not None:
+            topo = scene.topology
+            _as_written({"poses": scene.poses, "coarse_meshes": scene.coarse_meshes,
+                         "fine_meshes": scene.fine_meshes, "feats": scene.feats,
+                         "regressor": scene.regressor.matrix, "upsampler": topo.upsampler,
+                         "edges": topo.edges, "faces": topo.faces},
+                        directory / "manifest.json", written)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -58,14 +59,25 @@ def test_config_invalid_json(tmp_path):
         PipelineConfig.load(path)
 
 
+def test_config_fields_are_fixed_once_validated():
+    # the loss weights are built from the fields once; a later assignment
+    # would leave them behind, and would skip validation
+    cfg = _small_cfg()
+    for field, value in (("lambda_edge", 0.0), ("float_width", "double")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    assert cfg.loss_weights().lambda_edge == cfg.lambda_edge == 20.0
+
+
 def test_float_width_policies():
     wide = _small_cfg(float_width="wide").ball_params()
     narrow = _small_cfg(float_width="narrow").ball_params()
     assert (wide.eps_ball, wide.eps_norm) == (1e-5, 1e-12)
     assert (narrow.eps_ball, narrow.eps_norm) == (1e-4, 1e-7)
-    # an explicit margin overrides one field of the selected policy
-    assert _small_cfg(float_width="narrow", eps_norm=1e-9).ball_params() == BallParams(1e-4, 1e-9)
-    assert _small_cfg(eps_ball=1e-3).ball_params() == BallParams(1e-3, 1e-10)
+    # float_width is the one source of the margins: no field overrides them
+    for removed in ("eps_ball", "eps_norm"):
+        with pytest.raises(ConfigError, match=f"unknown config fields: \\['{removed}'\\]"):
+            PipelineConfig.from_dict({"float_width": "narrow", removed: 1e-9})
 
 
 # ---------------------------------------------------------------- tensor io
@@ -137,7 +149,8 @@ def test_tensor_io_keeps_a_zero_dim_shape(tmp_path):
 def test_checkpoint_file_entry_must_stay_in_its_directory(tmp_path):
     save_tensor(tmp_path / "outside.gymt", np.ones(2))
     manifest = save_checkpoint(tmp_path / "ckpt", {"w": np.ones(2)})
-    for bad in ("../outside.gymt", str(tmp_path / "outside.gymt"), "..", ""):
+    for bad in ("../outside.gymt", str(tmp_path / "outside.gymt"), "..", "",
+                "\x00.gymt", "\ud800.gymt"):
         manifest.write_text(json.dumps({"w": {"file": bad, "shape": [2]}}))
         with pytest.raises(ContractError, match="not a file name"):
             load_checkpoint(manifest)
@@ -372,14 +385,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, named", [
     ({"t_frames": "four"}, "t_frames"),
-    ({"eps_ball": 0.5}, "eps_ball"),
+    ({"heads": 0}, "heads"),
     ({"topology_path": ""}, "topology_path"),
+    ({"eps_ball": 1e-5}, "eps_ball"),
+    ({"eps_norm": 1e-12}, "eps_norm"),
+    ({"hymesh_scale": 1.0}, "hymesh_scale"),
+    ({"output_dir": "out"}, "output_dir"),
     ({"lambda_edge": -1}, "lambda_edge"),
     ({"learning_rate": float("nan")}, "learning_rate"),
     ({"lambda_mesh": float("inf")}, "lambda_mesh"),
-    ({"eps_ball": 10 ** 400}, "eps_ball"),
-], ids=["wrong_type", "out_of_range", "removed_field", "negative_loss_weight",
-        "nan_learning_rate", "infinite_loss_weight", "int_beyond_float64"])
+    ({"learning_rate": 10 ** 400}, "learning_rate"),
+], ids=["wrong_type", "out_of_range", "removed_field", "removed_eps_ball",
+        "removed_eps_norm", "removed_hymesh_scale", "removed_output_dir",
+        "negative_loss_weight", "nan_learning_rate", "infinite_loss_weight",
+        "int_beyond_float64"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
@@ -450,8 +469,10 @@ def _old_layout(scene_dir):
     (lambda d: save_tensor(d / "faces.gymt", load_tensor(d / "faces.gymt") + 0.5), 5),
     (_flat_upsampler, 5),
     (_old_layout, 4),
+    (lambda d: save_tensor(d / "poses.gymt", load_tensor(d / "poses.gymt") * np.nan), 5),
+    (lambda d: save_tensor(d / "upsampler.gymt", load_tensor(d / "upsampler.gymt") + np.inf), 5),
 ], ids=["missing_array", "file_outside", "fractional_face", "flat_upsampler",
-        "old_layout"])
+        "old_layout", "nan_poses", "infinite_upsampler"])
 def test_cli_eval_malformed_scene_exit_code(tmp_path, capsys, corrupt, code):
     cfg_path = _write_cfg(tmp_path)
     save_scene(synth_generate(_small_cfg()), tmp_path / "scene")
@@ -490,6 +511,25 @@ def test_cli_export_mesh_frame_out_of_range_exit_code(tmp_path, capsys, frame):
     assert not (tmp_path / "frame.obj").exists()
 
 
+@pytest.mark.parametrize("command, scene_kw, named", [
+    ("eval", {"t_frames": 8}, "t_frames is 8 in the scene but 4 in the config"),
+    ("export-mesh", {"n_fine": 12}, "n_fine is 12 in the scene but 10 in the config"),
+], ids=["eval_more_frames", "export_more_fine_vertices"])
+def test_cli_scene_must_agree_with_the_config(tmp_path, capsys, command, scene_kw, named):
+    cfg_path = _write_cfg(tmp_path)
+    save_scene(synth_generate(_small_cfg(**scene_kw)), tmp_path / "scene")
+    ckpt = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    out = tmp_path / "out"
+    extra = (["--report", str(out)] if command == "eval"
+             else ["--frame", "0", "--out", str(out)])
+    assert main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--scene", str(tmp_path / "scene"), *extra]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "contract" and named in err["message"]
+    assert not out.exists()
+
+
 def test_cli_missing_file_exit_code(tmp_path, capsys):
     assert main(["synth", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "scene")]) == 4
@@ -500,6 +540,22 @@ def test_cli_propcheck_filtered(capsys):
     assert main(["propcheck", "--module", "temporal", "--cases", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS temporal/gru_vs_loop_oracle" in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["propcheck", "--module", "temporal", "--cases", "-3"], "cases"),
+    (["propcheck", "--cases", "0"], "cases"),
+    (["propcheck", "--module", "tensor-autodiff"], "tensor-autodiff"),
+    (["gradcheck", "--module", "manifold"], "manifold"),
+], ids=["negative_cases", "zero_cases", "propcheck_unknown_module",
+        "gradcheck_unknown_module"])
+def test_cli_vacuous_check_is_a_config_error(capsys, argv, named):
+    # a run that checks nothing must not report a pass
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config" and named in err["message"]
 
 
 def test_cli_gradcheck_filtered(capsys):
@@ -531,3 +587,42 @@ def test_benchmark_tracer_binds_every_name(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import tracer
     assert tracer.Tracer().missing == []
+
+
+def test_benchmark_tracer_accounts_for_every_node(monkeypatch, tmp_path):
+    # a traced training step and predict, as the benchmark traces them: the
+    # self-node counts of the spans sum to the node counter, and the kept
+    # tape root is the [T, n_fine, 3] fine mesh; counts only, no timing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer as tracing
+    from hypermesh import train
+
+    cfg = _small_cfg(steps=2)
+    scene = synth_generate(cfg)
+    pipe = train.build_pipeline(cfg, scene)
+    opt = train.SGD(pipe.parameters(), pipe.ball_parameters(), lr=cfg.learning_rate,
+                    momentum=cfg.momentum, ball=cfg.ball_params())
+    manifest = save_checkpoint(tmp_path / "ckpt", pipe.state_dict())
+
+    def step():
+        opt.zero_grad()
+        loss = train.scene_loss(pipe, scene, cfg)
+        loss.backward()
+        opt.step()
+
+    tr = tracing.Tracer()
+    tr.keep_tape_roots = True
+    for op in (step, lambda: train.predict(cfg, manifest, scene)):
+        tr.install()
+        try:
+            tr.root(op)()
+        finally:
+            tr.uninstall()
+        roots = list(tr.tape_roots)
+        snap = tr.snapshot()
+        stats = snap["stats"]
+        assert stats[tracing.ROOT][tracing.CALLS] == 1
+        assert snap["nodes"] > 0
+        assert sum(s[tracing.SELF_NODES] for s in stats.values()) == snap["nodes"]
+        assert stats[tracing.ROOT][tracing.INCL_NODES] == snap["nodes"]
+        assert [r.shape for r in roots] == [(cfg.t_frames, cfg.n_fine, 3)]

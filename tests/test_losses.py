@@ -40,6 +40,8 @@ def test_loss_weights_validation():
 def test_regressor_row_stochastic_check():
     with pytest.raises(ContractError):
         JointRegressor(np.full((2, 4), 0.3))
+    with pytest.raises(ContractError):
+        JointRegressor(np.full((2, 4), np.nan))
 
 
 def test_hyperbolic_loss_identical_meshes_is_zero():

@@ -7,7 +7,7 @@ from hypermesh.pipeline import (MeshState, MeshTopology, OptBlock, export_obj,
                                 fuse_and_upsample)
 from hypermesh.synth import build_toy_topology, fibonacci_sphere, synth_generate
 from hypermesh.tensor import Tensor
-from hypermesh.train import build_pipeline
+from hypermesh.train import build_pipeline, scene_loss
 
 SMALL = dict(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
              n_coarse=6, n_fine=10, steps=0)
@@ -28,9 +28,9 @@ def _topology(nc=4, nf=6):
 
 
 def test_topology_validation():
-    bad = np.full((6, 4), 0.3)
-    with pytest.raises(TopologyError):
-        MeshTopology(4, 6, np.zeros((0, 2)), np.zeros((0, 3)), bad)
+    for bad in (np.full((6, 4), 0.3), np.full((6, 4), np.nan)):
+        with pytest.raises(TopologyError):
+            MeshTopology(4, 6, np.zeros((0, 2)), np.zeros((0, 3)), bad)
     with pytest.raises(TopologyError):
         MeshTopology(4, 6, np.array([[0, 9]]), np.zeros((0, 3)),
                      _topology().upsampler)
@@ -83,6 +83,22 @@ def test_pipeline_shapes_and_ball_invariant(ball_norms):
     assert result.m_opt.vertices.shape == (cfg.t_frames, cfg.n_coarse, 3)
     assert result.m_out.vertices.shape == (cfg.t_frames, cfg.n_fine, 3)
     assert not ball_norms.exceeds(cfg.ball_params())
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+def test_every_ball_op_keeps_the_float_width_margin(ball_norms, width):
+    # parameters scaled x60 push every ball op's output past the shell
+    # 1 - eps_ball, so each op must clamp at the margin its config selects
+    cfg = _small_cfg(float_width=width)
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    for name, param in pipe.named_parameters().items():
+        if name.startswith(("hpo.", "hmo.")):
+            param.data = param.data * 60.0
+    scene_loss(pipe, scene, cfg)
+    shell = 1.0 - cfg.ball_params().eps_ball
+    for op in ("mobius_add", "mobius_matvec", "expmap0"):
+        assert abs(ball_norms.op_max[op] - shell) <= 1e-12, op
 
 
 def test_disable_hmo_zeroes_motion_branch():
