@@ -13,7 +13,6 @@ import zlib
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from . import tensor as T
 from .gradcheck import GradcheckReport, gradcheck
@@ -71,6 +70,8 @@ def np_mobius_matvec(w: np.ndarray, x: np.ndarray,
 
 
 def np_gelu(x: np.ndarray) -> np.ndarray:
+    # glibc's erf, element by element: not the cephes algorithm of tensor.gelu
+    erf = np.vectorize(math.erf, otypes=[np.float64])
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 

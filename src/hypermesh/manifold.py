@@ -140,11 +140,14 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
         g_den = -_rowdot(g_num, num) / den
         g_a = _rowdot(g_num, xd)
         g_xy = 2.0 * (g_a + g_den)
-        g_x2 = g_den * y2 - _rowdot(g_num, yd)
-        g_y2 = g_a + g_den * x2
-        gx = a * g_num + g_xy * yd + 2.0 * g_x2 * xd
-        gy = b * g_num + g_xy * xd + 2.0 * g_y2 * yd
-        return T._unbroadcast(gx, x.shape), T._unbroadcast(gy, y.shape)
+        gx = gy = None
+        if x.requires_grad:
+            g_x2 = g_den * y2 - _rowdot(g_num, yd)
+            gx = T._unbroadcast(a * g_num + g_xy * yd + 2.0 * g_x2 * xd, x.shape)
+        if y.requires_grad:
+            g_y2 = g_a + g_den * x2
+            gy = T._unbroadcast(b * g_num + g_xy * xd + 2.0 * g_y2 * yd, y.shape)
+        return gx, gy
 
     return T._make(data, "mobius_add", (x, y), backward)
 
@@ -219,10 +222,13 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
         g_u = g_t * (1.0 - t * t)
         g_r = g_u * atx
         g_ny = g_r / nx - g_t * s
-        g_nx = g_u * r / (1.0 - nx * nx) - g_r * r / nx
         gy = gz * s + (g_ny / ny) * y
-        gx = gy @ wd + (g_nx / nx) * xd
-        gw = gy.reshape(-1, gy.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+        gw = gx = None
+        if w.requires_grad:
+            gw = gy.reshape(-1, gy.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+        if x.requires_grad:
+            g_nx = g_u * r / (1.0 - nx * nx) - g_r * r / nx
+            gx = gy @ wd + (g_nx / nx) * xd
         return gw, gx
 
     return T._make(data, "mobius_matvec", (w, x), backward)

@@ -12,7 +12,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -183,30 +182,33 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
     return _make(data, "add", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
     return _make(data, "sub", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
     return _make(data, "mul", (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
     return _make(data, "div", (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                 lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                            if b.requires_grad else None))
 
 
 def neg(a) -> Tensor:
@@ -226,9 +228,9 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, "matmul", (a, b), backward)
 
@@ -336,9 +338,56 @@ def sigmoid(a) -> Tensor:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# cephes ndtr.c (S. L. Moshier): erf = x T(x^2) / U(x^2) on |x| <= 1, and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) on 1 < |x| < 8; U and Q have a leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _horner(x: np.ndarray, acc: np.ndarray, coefs) -> np.ndarray:
+    """``acc = acc * x + c`` for each coefficient in turn, in place."""
+    for c in coefs:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise erf, bit for bit the cephes ``erf`` that scipy runs."""
+    flat = x.reshape(-1)
+    big = np.flatnonzero(np.abs(flat) > 1.0)
+    s = np.clip(flat, -1.0, 1.0) if big.size else flat  # |x| > 1 is overwritten below
+    z = s * s
+    y = _horner(z, z * _ERF_T[0] + _ERF_T[1], _ERF_T[2:])
+    y *= s  # on signed x: erf is odd and each rounding is symmetric
+    y /= _horner(z, z + _ERF_U[0], _ERF_U[1:])
+    if big.size:
+        xb = flat[big]
+        m = np.minimum(np.abs(xb), 8.0)  # erf is 1.0 in double from 8 on
+        e = np.fromiter(map(math.exp, (-m * m).tolist()), np.float64, m.size)
+        e *= _horner(m, m * _ERF_P[0] + _ERF_P[1], _ERF_P[2:])
+        e /= _horner(m, m + _ERF_Q[0], _ERF_Q[1:])
+        y[big] = np.copysign(np.where(m < 8.0, 1.0 - e, 1.0), xb)
+    return y.reshape(x.shape)
+
 
 def gelu(a) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    ``erf`` is a numpy port of cephes ``ndtr.c``, with cephes' operation
+    order, so its bits equal ``scipy.special.erf``'s. The tail's
+    ``exp(-x^2)`` comes from the C library through ``math.exp``, as in
+    cephes: numpy's vectorised ``np.exp`` differs from it by an ulp on a few
+    inputs, and that would move training results.
+    """
     a = as_tensor(a)
     phi = 0.5 * (1.0 + _erf(a.data / _SQRT2))
     data = a.data * phi

@@ -113,16 +113,22 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
     if not isinstance(manifest, dict):
         raise ContractError(f"{manifest_path}: manifest must be a JSON object")
     out = {}
+    owners: dict[str, str] = {}
     for name, entry in manifest.items():
+        # a bool or a float would compare equal to an int dimension
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
-                and isinstance(entry.get("shape"), list)):
-            raise ContractError(
-                f"checkpoint entry {name}: needs a string \"file\" and a list \"shape\"")
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int for d in entry["shape"])):
+            raise ContractError(f"checkpoint entry {name}: needs a string \"file\" "
+                                "and a \"shape\" list of integers")
         fname = entry["file"]
         if fname in ("", "..") or Path(fname).name != fname or not fname.isprintable():
             raise ContractError(
                 f"checkpoint entry {name}: file {fname!r} is not a file name "
                 "in the manifest's directory")
+        other = owners.setdefault(fname, name)
+        if other != name:
+            raise ContractError(f"checkpoint entries {other} and {name} name one file {fname!r}")
         arr = load_tensor(manifest_path.parent / fname)
         if list(arr.shape) != entry["shape"]:
             raise ContractError(f"checkpoint entry {name}: shape mismatch")

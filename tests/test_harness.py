@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypermesh
 from hypermesh import tensor as T
 from hypermesh.cli import main
 from hypermesh.config import PipelineConfig
@@ -154,6 +158,15 @@ def test_checkpoint_file_entry_must_stay_in_its_directory(tmp_path):
         manifest.write_text(json.dumps({"w": {"file": bad, "shape": [2]}}))
         with pytest.raises(ContractError, match="not a file name"):
             load_checkpoint(manifest)
+
+
+@pytest.mark.parametrize("array, shape", [(np.ones(2), [2.0]), (np.ones(1), [True])],
+                         ids=["float", "bool"])
+def test_checkpoint_shape_entries_must_be_ints(tmp_path, array, shape):
+    manifest = save_checkpoint(tmp_path / "ckpt", {"w": array})
+    manifest.write_text(json.dumps({"w": {"file": "w.gymt", "shape": shape}}))
+    with pytest.raises(ContractError, match="list of integers"):
+        load_checkpoint(manifest)
 
 
 def test_checkpoint_refuses_colliding_file_names(tmp_path):
@@ -426,13 +439,18 @@ def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
     '{"template": {"file": "template.gymt"}}',
     '{"template": ',
     "[" * 100_000,
+    lambda m: m["template"].update(shape=[6.0, 3.0]),
+    lambda m: m["prior.gru_aft.w_r"].update(file=m["prior.gru_aft.w_z"]["file"]),
 ], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json",
-        "nested_too_deep"])
+        "nested_too_deep", "float_shape", "file_named_twice"])
 def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
                            build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
-    path.write_text(manifest)
+    if callable(manifest):
+        _edit_manifest(path.parent, manifest)
+    else:
+        path.write_text(manifest)
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
                  "--report", str(tmp_path / "report.csv")]) == 5
     assert json.loads(capsys.readouterr().err.strip())["error"] == "contract"
@@ -562,6 +580,34 @@ def test_cli_gradcheck_filtered(capsys):
     assert main(["gradcheck", "--module", "temporal"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _run_fresh(code: str, *argv: str, cwd) -> subprocess.CompletedProcess:
+    """Runs ``code`` in a new interpreter that imports this package's source."""
+    path = [str(Path(hypermesh.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy comes with the test extra only: no runtime module may load it
+    done = _run_fresh("import sys, hypermesh, hypermesh.checks; "
+                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])", cwd=tmp_path)
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stderr
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    cfg = str(_write_cfg(tmp_path, steps=2, learning_rate=0.001))
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from hypermesh.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["gradcheck", "--module", "tensor-autodiff"], ["propcheck"],
+                 ["train", "--config", cfg, "--out", "run"],
+                 ["eval", "--config", cfg, "--checkpoint", "run/checkpoint/manifest.json",
+                  "--report", "report.csv"]):
+        done = _run_fresh(blocked, *argv, cwd=tmp_path)
+        assert done.returncode == 0, (argv, done.stderr)
+    assert (tmp_path / "report.csv").exists()
 
 
 def test_gradcheck_inputs_depend_on_the_entry_name_alone(monkeypatch):

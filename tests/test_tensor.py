@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,32 @@ def test_gelu_exact_gaussian_cdf():
     # gelu(2) = 2 * Phi(2), frozen from the normal CDF
     out = T.gelu(Tensor([2.0]))
     np.testing.assert_allclose(out.data, [1.9544997361036416], atol=1e-12)
+
+
+def test_erf_port_matches_scipy_within_one_ulp():
+    scipy_erf = pytest.importorskip("scipy.special").erf
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 8.0, 6.0, 1e308,
+             np.finfo(np.float64).max, np.inf]
+    near = [np.nextafter(e, d) for e in (1.0, 6.0, 8.0) for d in (0.0, np.inf)]
+    x = np.concatenate([np.linspace(0.0, 9.0, 180_001), np.logspace(-320, 308, 20_000),
+                        np.linspace(0.999, 1.001, 20_001), np.linspace(7.99, 8.01, 20_001),
+                        edges, near])
+    x = np.concatenate([x, -x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = T._erf(x)
+    want = scipy_erf(x)
+    # both are odd with the sign of x, so the bit patterns compare as ulps
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 1
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(x))
+    assert np.array_equal(T._erf(-x).view(np.int64), (-got).view(np.int64))
+    assert np.all(np.abs(got) <= 1.0)
+    assert T._erf(np.array([np.inf, -np.inf])).tolist() == [1.0, -1.0]
+    assert np.isnan(T._erf(np.array([np.nan, -np.nan]))).all()
+    strided = np.linspace(-9.0, 9.0, 24).reshape(2, 3, 4).transpose(2, 0, 1)
+    for shaped in (np.array(2.0), strided):
+        assert np.array_equal(T._erf(shaped), scipy_erf(shaped))
 
 
 def test_layer_stats_mean_var():
