@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .gradcheck import GradcheckReport, gradcheck
 from .layers import (HyperAdaLN, HyperAttention, HyperbolicLinear, HyperFFN,
-                     hyper_gelu)
+                     attention, hyper_gelu)
 from .manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add,
                        mobius_matvec, project_to_ball)
 from .temporal import EuclideanAttention, GruCell, PoseMotionExtractor
@@ -262,7 +262,7 @@ def check_matvec_formulations(cases: int = 1000, seed: int = 1,
         w = rng.normal(size=(m, n))
         x = random_ball_points(rng, (n,), max_norm=0.99)
         direct = mobius_matvec(Tensor(w), Tensor(x), p).data
-        tangent = logmap0(Tensor(x), p).reshape(1, n) @ Tensor(w).T
+        tangent = logmap0(Tensor(x), p).reshape(1, n) @ Tensor(w.T)
         via_maps = expmap0(tangent, p).data.reshape(m)
         assert np.abs(direct - via_maps).max() < tol
     return cases
@@ -415,7 +415,7 @@ def _primitive_entries():
     yield entry("div", lambda a, b: a / (b + 3.0), (3, 4), (3, 4))
     yield entry("matmul", lambda a, b: a @ b, (3, 4), (4, 2))
     yield entry("matmul_batched", lambda a, b: a @ b, (2, 3, 4), (2, 4, 2))
-    yield entry("transpose", lambda a: a.transpose((1, 0)), (3, 4))
+    yield entry("linear", T.linear, (2, 3, 4), (5, 4), (5,))
     yield entry("reshape", lambda a: a.reshape(4, 3), (3, 4))
     yield entry("concat", lambda a, b: T.concat([a, b], axis=1), (3, 2), (3, 4))
     yield entry("slice", lambda a: a[1:, ::2], (4, 6))
@@ -427,7 +427,7 @@ def _primitive_entries():
     yield entry("gelu", T.gelu, (3, 4), low=-2.0, high=2.0)
     yield entry("sqrt", lambda a: T.sqrt(a + 2.0), (3, 4))
     yield entry("abs", lambda a: T.tabs(a + 3.0), (3, 4))
-    yield entry("softmax", lambda a: T.softmax(a, axis=-1), (3, 4))
+    yield entry("attention", lambda q, k, v: attention(q, k, v, 2), (3, 4, 6), (3, 5, 6), (3, 5, 6))
     yield entry("l2norm", lambda a: T.l2norm(a, eps=1e-6), (3, 4))
     yield entry("layer_stats", lambda a: T.layer_stats(a)[0] + T.layer_stats(a)[1],
                 (3, 4))

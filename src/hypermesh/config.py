@@ -61,9 +61,11 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
-        for name in ("n_joints", "feat_dim", "model_dim", "heads", "n_coarse", "n_fine"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        # a scene needs a coarse edge, and n_fine distinct faces: C(n_fine, 3) >= n_fine
+        for name, least in (("n_joints", 1), ("feat_dim", 1), ("model_dim", 1), ("heads", 1),
+                            ("n_coarse", 2), ("n_fine", 4)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         for name in ("model_dim", "feat_dim"):
             if getattr(self, name) % self.heads != 0:
                 raise ConfigError(

@@ -3,7 +3,8 @@
 All layers keep their activations on the ball: linear layers act through
 Möbius algebra, pointwise/normalization layers sandwich the Euclidean
 operation between logmap0 and expmap0, and attention computes scores and
-aggregation in the tangent space at the origin.
+aggregation in the tangent space at the origin. The Euclidean :class:`Linear`
+and the attention core :func:`attention`, one tape node each, serve the temporal prior too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Linear(Module):
         self.b = Tensor(np.full(out_dim, bias_init), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w.T + self.b
+        return T.linear(x, self.w, self.b)
 
 
 class HyperbolicLinear(Module):
@@ -87,17 +88,33 @@ class HyperAdaLN(Module):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of rows q [..., nq, dim] over
-    k, v [..., nk, dim], batched over the leading (frame) axes."""
-    *lead, nq, dim = q.shape
-    hd = dim // heads
+    """Multi-head scaled dot-product attention of rows q [..., nq, dim] over k, v
+    [..., nk, dim], batched over leading (frame) axes, as one node. Its backward is the
+    softmax VJP dS = P * (dP - rowsum(dP * P)) of FlashAttention (Dao et al. 2022)."""
+    hd = q.shape[-1] // heads
+    scale = 1.0 / math.sqrt(hd)
 
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(-1, t.shape[-2], heads, hd).transpose((0, 2, 1, 3))
+    def split(a: np.ndarray) -> np.ndarray:  # [..., n, dim] -> [B, heads, n, hd]
+        return a.reshape(-1, a.shape[-2], heads, hd).transpose(0, 2, 1, 3)
 
-    scores = (split_heads(q) @ split_heads(k).transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
-    alpha = T.softmax(scores, axis=-1)
-    return (alpha @ split_heads(v)).transpose((0, 2, 1, 3)).reshape(*lead, nq, dim)
+    def merge(a: np.ndarray, shape) -> np.ndarray:
+        return a.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):  # each product takes the operand layouts of the composed ops
+        gc = split(g)
+        gp = gc @ np.swapaxes(vh, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        return (merge(gs @ kh, q.shape) if q.requires_grad else None,
+                merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), k.shape)
+                if k.requires_grad else None,
+                merge(np.swapaxes(p, -1, -2) @ gc, v.shape) if v.requires_grad else None)
+
+    return T._make(merge(p @ vh, q.shape), "attention", (q, k, v), backward)
 
 
 class HyperAttention(Module):
@@ -131,7 +148,7 @@ class HyperAttention(Module):
         lq = logmap0(mobius_matvec(self.w_q, queries_src, p), p)
         lk = logmap0(mobius_matvec(self.w_k, keys_src, p), p)
         lv = logmap0(mobius_matvec(self.w_v, keys_src, p), p)
-        return expmap0(attention(lq, lk, lv, self.heads) @ self.w_o.T, p)
+        return expmap0(T.linear(attention(lq, lk, lv, self.heads), self.w_o), p)
 
 
 class HyperFFN(Module):

@@ -52,6 +52,8 @@ class Module:
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != v.data.shape:
                 raise ContractError(f"state dict entry {k}: shape {arr.shape} != {v.data.shape}")
+            if not np.isfinite(arr).all():
+                raise ContractError(f"state dict entry {k} is not finite")
             v.data = arr.copy()
 
     def zero_grad(self) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError, TopologyError
+from .errors import NumericError, ShapeError, TopologyError
 from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear
 from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add
 from .module import Module
@@ -162,6 +162,8 @@ class MeshPipeline(Module):
         if template.shape != (topology.n_coarse, 3):
             raise ShapeError(
                 f"template shape {template.shape} != ({topology.n_coarse}, 3)")
+        if not np.isfinite(template).all():
+            raise NumericError("template mesh is not finite")
         self.prior = TemporalPriorExtractor(n_joints, feat_dim, heads, rng)
         self.hpo = OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
         self.hmo = OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)

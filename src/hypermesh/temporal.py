@@ -40,16 +40,13 @@ class GruCell(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"GRU expects [T, {self.input_dim}], got {x.shape}")
-        # one transpose per weight per call, shared by every step
-        w_z, u_z, w_r, u_r, w_h, u_h = (w.T for w in (
-            self.w_z, self.u_z, self.w_r, self.u_r, self.w_h, self.u_h))
         h = Tensor(np.zeros((1, self.hidden_dim)))
         outputs = []
         for t in range(x.shape[0]):
             x_t = x[t:t + 1]
-            z = T.sigmoid(x_t @ w_z + h @ u_z + self.b_z)
-            r = T.sigmoid(x_t @ w_r + h @ u_r + self.b_r)
-            cand = T.tanh(x_t @ w_h + (r * h) @ u_h + self.b_h)
+            z = T.sigmoid(T.linear(x_t, self.w_z) + T.linear(h, self.u_z) + self.b_z)
+            r = T.sigmoid(T.linear(x_t, self.w_r) + T.linear(h, self.u_r) + self.b_r)
+            cand = T.tanh(T.linear(x_t, self.w_h) + T.linear(r * h, self.u_h) + self.b_h)
             h = (1.0 - z) * cand + z * h
             outputs.append(h)
         return T.concat(outputs, axis=0)
@@ -69,8 +66,9 @@ class EuclideanAttention(Module):
         self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        ctx = attention(x @ self.w_q.T, x @ self.w_k.T, x @ self.w_v.T, self.heads)
-        return ctx @ self.w_o.T
+        ctx = attention(T.linear(x, self.w_q), T.linear(x, self.w_k),
+                        T.linear(x, self.w_v), self.heads)
+        return T.linear(ctx, self.w_o)
 
 
 class PoseMotionExtractor(Module):

@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are float64 numpy arrays wrapped in :class:`Tensor`. Every primitive
-records a backward closure; calling ``backward()`` on a scalar walks the tape
-in reverse topological order and accumulates gradients into the leaf tensors
-(those created with ``requires_grad`` set, not by an op).
+Values are float64 numpy arrays wrapped in :class:`Tensor`. Every primitive,
+the affine map :func:`linear` (there is no transpose op) included, records one
+node and a backward closure; ``backward()`` on a scalar walks the tape in reverse
+topological order into the leaves (tensors made with ``requires_grad``, not by an op).
 """
 
 from __future__ import annotations
@@ -115,13 +115,6 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, *shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis, keepdims)
@@ -235,15 +228,20 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
-    a = as_tensor(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-    return _make(data, "transpose", (a,),
-                 lambda g: (np.transpose(g, inv),))
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w.T (+ b)`` on the trailing axis, as one node. Its gradients repeat
+    the expressions of the composed transpose, matmul and add, bit for bit."""
+    x, w = as_tensor(x), as_tensor(w)
+    bias = () if b is None else (as_tensor(b),)
+    data = x.data @ w.data.T + bias[0].data if bias else x.data @ w.data.T
+
+    def backward(g):
+        return (_unbroadcast(g @ w.data, x.shape) if x.requires_grad else None,
+                _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T
+                if w.requires_grad else None,
+                *(_unbroadcast(g, t.shape) if t.requires_grad else None for t in bias))
+
+    return _make(data, "linear", (x, w, *bias), backward)
 
 
 def reshape(a, *shape) -> Tensor:
@@ -412,19 +410,6 @@ def tabs(a) -> Tensor:
     a = as_tensor(a)
     data = np.abs(a.data)
     return _make(data, "abs", (a,), lambda g: (g * np.sign(a.data),))
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
-
-    return _make(data, "softmax", (a,), backward)
 
 
 def l2norm(a, axis: int = -1, keepdims: bool = True, eps: float = 0.0) -> Tensor:

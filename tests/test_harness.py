@@ -582,11 +582,11 @@ def test_cli_gradcheck_filtered(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def _run_fresh(code: str, *argv: str, cwd) -> subprocess.CompletedProcess:
+def _run_fresh(code: str, *argv: str, cwd, timeout: float = 600) -> subprocess.CompletedProcess:
     """Runs ``code`` in a new interpreter that imports this package's source."""
     path = [str(Path(hypermesh.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True,
-                          text=True, timeout=600,
+                          text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
@@ -608,6 +608,83 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
         done = _run_fresh(blocked, *argv, cwd=tmp_path)
         assert done.returncode == 0, (argv, done.stderr)
     assert (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("sizes, named", [((1, 2, 3), "n_fine"), ((1, 1, 4), "n_coarse"),
+                                          ((1, 2, 2), "n_fine")],
+                         ids=["three_fine_vertices", "one_coarse_vertex", "two_fine_vertices"])
+def test_cli_refuses_meshes_the_scene_generator_cannot_build(tmp_path, sizes, named):
+    # three fine vertices make one distinct face, and the generator wants
+    # n_fine of them: at worst the command never returns, hence the timeout
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(zip(("n_joints", "n_coarse", "n_fine"), sizes))))
+    cli = "import sys; from hypermesh.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["synth", "--config", str(path), "--out", "scene"],
+                 ["train", "--config", str(path), "--out", "run"]):
+        done = _run_fresh(cli, *argv, cwd=tmp_path, timeout=60)
+        assert done.returncode == 3, done.stderr
+        err = json.loads(done.stderr.strip())
+        assert err["error"] == "config" and named in err["message"]
+    assert not (tmp_path / "scene").exists() and not (tmp_path / "run").exists()
+
+
+def test_cli_smallest_admitted_mesh_trains_and_evaluates(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    PipelineConfig(n_joints=1, n_coarse=2, n_fine=4, steps=2, learning_rate=0.001).save(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    ckpt = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checkpoint"]
+    assert main(["eval", "--config", str(path), "--checkpoint", ckpt,
+                 "--report", str(tmp_path / "report.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert all(np.isfinite(v) for v in summary.values())
+
+
+@pytest.mark.parametrize("command", ["eval", "export-mesh"])
+@pytest.mark.parametrize("entry", ["hpo.head.w", "hpo.head.b", "hmo.head.w", "hmo.head.b",
+                                   "hpo.cross_att.w_q"])
+def test_cli_nonfinite_checkpoint_entry_is_named(tmp_path, capsys, command, entry):
+    cfg_path = _write_cfg(tmp_path)
+    state = build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict()
+    state[entry].flat[-1] = np.nan
+    ckpt = save_checkpoint(tmp_path / "ckpt", state)
+    out = tmp_path / "out"
+    extra = (["--report", str(out)] if command == "eval"
+             else ["--frame", "0", "--out", str(out)])
+    assert main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt), *extra]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "contract"
+    assert err["message"] == f"state dict entry {entry} is not finite"
+    assert not out.exists()
+
+
+def test_template_mesh_path_sets_the_initial_template(tmp_path):
+    template = np.random.default_rng(3).uniform(-0.5, 0.5, size=(SMALL["n_coarse"], 3))
+    save_tensor(tmp_path / "template.gymt", template)
+    cfg = _small_cfg(template_mesh_path=str(tmp_path / "template.gymt"))
+    pipe = build_pipeline(cfg, synth_generate(cfg))
+    assert pipe.template.data.tobytes() == template.tobytes()
+    assert pipe.template.requires_grad
+    assert pipe.state_dict()["template"].tobytes() == template.tobytes()
+
+
+def _nan_template():
+    template = np.zeros((SMALL["n_coarse"], 3))
+    template[2, 1] = np.nan
+    return template
+
+
+@pytest.mark.parametrize("template, named", [
+    (np.zeros((SMALL["n_coarse"] + 1, 3)), "template shape (7, 3) != (6, 3)"),
+    (_nan_template(), "template mesh is not finite"),
+], ids=["wrong_shape", "nan"])
+def test_cli_bad_template_mesh_exit_code(tmp_path, capsys, template, named):
+    save_tensor(tmp_path / "template.gymt", template)
+    cfg_path = _write_cfg(tmp_path, template_mesh_path=str(tmp_path / "template.gymt"),
+                          steps=2, learning_rate=0.001)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "contract" and named in err["message"]
+    assert not (tmp_path / "run" / "loss_curve.csv").exists()
 
 
 def test_gradcheck_inputs_depend_on_the_entry_name_alone(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypermesh import tensor as T
 from hypermesh.checks import (adaln_oracle, check_adaln_oracle,
                               check_attention_oracle,
                               check_attention_permutation, hyper_attention_oracle,
@@ -8,7 +9,7 @@ from hypermesh.checks import (adaln_oracle, check_adaln_oracle,
 from hypermesh.errors import ShapeError
 from hypermesh.gradcheck import gradcheck
 from hypermesh.layers import (HyperAdaLN, HyperAttention, HyperbolicLinear,
-                              HyperFFN, Linear, hyper_gelu)
+                              HyperFFN, Linear, attention, hyper_gelu)
 from hypermesh.manifold import DEFAULT_PARAMS, expmap0, logmap0
 from hypermesh.tensor import Tensor
 
@@ -19,6 +20,17 @@ def test_linear_affine():
     x = rng.normal(size=(5, 3))
     out = layer(Tensor(x)).data
     np.testing.assert_allclose(out, x @ layer.w.data.T + layer.b.data, atol=1e-15)
+
+
+def test_linear_and_attention_record_one_node_per_call():
+    rng = np.random.default_rng(2)
+    layer = Linear(4, 3, rng)
+    out = layer(Tensor(rng.normal(size=(2, 5, 4))))
+    assert [n._op for n in T.tape_order(out) if n._parents] == ["linear"]
+    q, k, v = (Tensor(rng.normal(size=(2, n, 4)), requires_grad=True) for n in (3, 5, 5))
+    out = attention(q, k, v, heads=2)
+    assert [n._op for n in T.tape_order(out) if n._parents] == ["attention"]
+    assert out.shape == (2, 3, 4)
 
 
 def test_hyperbolic_linear_collinear_frozen():

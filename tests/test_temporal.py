@@ -31,11 +31,14 @@ def test_gru_shape_error():
 
 
 @pytest.mark.parametrize("t_frames", [4, 16])
-def test_gru_transposes_each_weight_once_per_call(t_frames):
+def test_gru_records_twenty_nodes_per_step(t_frames):
+    # per step: 6 linear, 2 sigmoid and 1 tanh gates, 7 add, 3 mul, 1 sub; then one concat
     rng = np.random.default_rng(5)
     cell = GruCell(3, 4, rng)
     out = cell(Tensor(rng.normal(size=(t_frames, 3))))
-    assert sum(node._op == "transpose" for node in T.tape_order(out)) == 6
+    ops = [node._op for node in T.tape_order(out) if node._parents]
+    assert len(ops) == 20 * t_frames + 1
+    assert ops.count("linear") == 6 * t_frames and "transpose" not in ops
 
 
 def test_gru_gradcheck():

@@ -7,6 +7,7 @@ from hypermesh import tensor as T
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, NumericError, ShapeError
 from hypermesh.gradcheck import gradcheck
+from hypermesh.layers import attention
 from hypermesh.synth import synth_generate
 from hypermesh.tensor import Tensor
 from hypermesh.train import build_pipeline, scene_loss
@@ -25,9 +26,11 @@ def test_matmul_shape_error():
         Tensor(np.ones((3, 4))) @ Tensor(np.ones((3, 4)))
 
 
-def test_softmax_uniform():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-15)
+def test_attention_softmax_uniform():
+    # equal scores weight every key alike: each output row is the mean value row
+    v = np.random.default_rng(0).normal(size=(3, 4))
+    out = attention(Tensor(np.zeros((2, 4))), Tensor(np.ones((3, 4))), Tensor(v), heads=2)
+    np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (2, 1)), atol=1e-15)
 
 
 def test_tanh_derivative_at_zero():
@@ -161,9 +164,26 @@ def test_getitem_advanced_index_grad_accumulates():
 def test_forward_determinism():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(4, 4))
-    a = T.softmax(T.gelu(Tensor(data)) @ Tensor(data.T)).data
-    b = T.softmax(T.gelu(Tensor(data)) @ Tensor(data.T)).data
-    assert np.array_equal(a, b)
+
+    def forward():
+        h = T.linear(T.gelu(Tensor(data)), Tensor(data), Tensor(data[0]))
+        return attention(h, h, Tensor(data), heads=2).data
+
+    assert np.array_equal(forward(), forward())
+
+
+def test_linear_matches_the_composed_affine_map_bit_for_bit():
+    # the one-node map and x @ w.T + b round alike, forward and backward
+    rng = np.random.default_rng(8)
+    x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(6, 4)), rng.normal(size=6)
+    g = rng.normal(size=(3, 5, 6))
+    ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = T.linear(*ts)
+    (out * Tensor(g)).sum().backward()
+    assert out.data.tobytes() == (x @ w.T + b).tobytes()
+    assert ts[0].grad.tobytes() == (g @ w).tobytes()
+    assert ts[1].grad.tobytes() == (np.swapaxes(x, -1, -2) @ g).sum(axis=0).T.tobytes()
+    assert ts[2].grad.tobytes() == g.sum(axis=0).sum(axis=0).tobytes()
 
 
 def test_gradcheck_rejects_nonscalar():
@@ -177,6 +197,22 @@ def test_gradcheck_fails_on_a_nan_error():
     nan = Tensor(np.full(3, np.nan))
     report = gradcheck(lambda a, b: (a * nan + b).sum(), [x, y])
     assert np.isnan(report.max_rel_err) and not report.passed
+
+
+def test_training_tape_has_one_node_per_affine_map_and_attention_call():
+    cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
+                         n_coarse=6, n_fine=10, steps=0)
+    scene = synth_generate(cfg)
+    ops = [n._op for n in T.tape_order(scene_loss(build_pipeline(cfg, scene), scene, cfg))
+           if n._parents]
+    assert "transpose" not in ops and "softmax" not in ops
+    # 2 per OptBlock, 1 in the prior
+    assert ops.count("attention") == 5
+    # 19 Linear layers, 4 HyperAttention W_O, 4 prior attention maps, and
+    # 6 per GRU step over 4 + 2 + 2 steps
+    assert ops.count("linear") == 19 + 4 + 4 + 6 * 8
+    # the fixed upsampler and joint regressor
+    assert ops.count("matmul") == 2
 
 
 def test_scene_loss_backward_keeps_grads_only_on_parameters():
