@@ -425,12 +425,13 @@ def _primitive_entries():
     yield entry("tanh", T.tanh, (3, 4))
     yield entry("sigmoid", T.sigmoid, (3, 4))
     yield entry("gelu", T.gelu, (3, 4), low=-2.0, high=2.0)
-    yield entry("sqrt", lambda a: T.sqrt(a + 2.0), (3, 4))
     yield entry("abs", lambda a: T.tabs(a + 3.0), (3, 4))
     yield entry("attention", lambda q, k, v: attention(q, k, v, 2), (3, 4, 6), (3, 5, 6), (3, 5, 6))
     yield entry("l2norm", lambda a: T.l2norm(a, eps=1e-6), (3, 4))
-    yield entry("layer_stats", lambda a: T.layer_stats(a)[0] + T.layer_stats(a)[1],
-                (3, 4))
+    # frames [2, 3, 4]; row [1, 2] is scaled to a variance below eps
+    low_var = np.ones((2, 3, 1))
+    low_var[1, 2] = 1e-3
+    yield entry("normalize", lambda a: T.normalize(a * low_var, 1e-5), (2, 3, 4))
 
 
 def _layer_entries():

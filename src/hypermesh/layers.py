@@ -3,7 +3,8 @@
 All layers keep their activations on the ball: linear layers act through
 Möbius algebra, pointwise/normalization layers sandwich the Euclidean
 operation between logmap0 and expmap0, and attention computes scores and
-aggregation in the tangent space at the origin. The Euclidean :class:`Linear`
+aggregation in the tangent space at the origin; the adaptive layer norm
+normalizes with one ``tensor.normalize`` node. The Euclidean :class:`Linear`
 and the attention core :func:`attention`, one tape node each, serve the temporal prior too.
 """
 
@@ -68,7 +69,7 @@ class HyperAdaLN(Module):
     A cond [T, 1, cond_dim] conditions frame t's token rows on its row t.
     """
 
-    eps_var = 1e-5  # variance floor of the normalization
+    eps_var = 1e-5  # added to the variance before its square root
 
     def __init__(self, feat_dim: int, cond_dim: int, rng: np.random.Generator,
                  params: BallParams = DEFAULT_PARAMS):
@@ -79,9 +80,7 @@ class HyperAdaLN(Module):
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         if cond.ndim == 1:
             cond = cond.reshape(1, cond.shape[0])
-        t = logmap0(x, self.params)
-        mu, var = T.layer_stats(t, axis=-1)
-        t_hat = (t - mu) / T.sqrt(var + self.eps_var)
+        t_hat = T.normalize(logmap0(x, self.params), self.eps_var)
         gamma = self.gamma_proj(cond)
         beta = self.beta_proj(cond)
         return expmap0(gamma * t_hat + beta, self.params)

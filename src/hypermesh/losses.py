@@ -67,7 +67,7 @@ def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor,
         raise ShapeError(f"mesh shapes differ: {pred.shape} vs {gt.shape}")
     e_pred = expmap0(pred, params)
     e_gt = expmap0(gt, params)
-    return T.tabs(e_gt - e_pred).sum(axis=-1).mean()
+    return _mean_l1(e_gt, e_pred)
 
 
 def _mean_l1(pred: Tensor, gt: Tensor) -> Tensor:

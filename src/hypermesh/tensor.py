@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are float64 numpy arrays wrapped in :class:`Tensor`. Every primitive,
-the affine map :func:`linear` (there is no transpose op) included, records one
-node and a backward closure; ``backward()`` on a scalar walks the tape in reverse
-topological order into the leaves (tensors made with ``requires_grad``, not by an op).
+the affine map :func:`linear` (there is no transpose op) and the layer
+normalization :func:`normalize` included, records one node and a backward
+closure; ``backward()`` on a scalar walks the tape in reverse topological
+order into the leaves (tensors made with ``requires_grad``, not by an op).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 class Tensor:
@@ -264,15 +265,9 @@ def getitem(a, key) -> Tensor:
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=np.float64)
 
-    advanced = isinstance(key, (list, np.ndarray)) or (
-        isinstance(key, tuple) and any(isinstance(k, (list, np.ndarray)) for k in key))
-
     def backward(g):
         z = np.zeros(a.shape)
-        if advanced:
-            np.add.at(z, key, g)
-        else:
-            z[key] += g
+        np.add.at(z, key, g)  # repeated indices accumulate
         return (z,)
 
     return _make(data, "slice", (a,), backward)
@@ -397,14 +392,6 @@ def gelu(a) -> Tensor:
     return _make(data, "gelu", (a,), backward)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data < 0):
-        raise NumericError("sqrt: input must be nonnegative")
-    data = np.sqrt(a.data)
-    return _make(data, "sqrt", (a,), lambda g: (g * 0.5 / data,))
-
-
 def tabs(a) -> Tensor:
     """Elementwise |x|; subgradient at 0 is 0."""
     a = as_tensor(a)
@@ -426,10 +413,20 @@ def l2norm(a, axis: int = -1, keepdims: bool = True, eps: float = 0.0) -> Tensor
     return _make(data, "l2norm", (a,), backward)
 
 
-def layer_stats(a, axis: int = -1) -> tuple[Tensor, Tensor]:
-    """Per-slice mean and (biased) variance along an axis, with keepdims."""
+def normalize(a, eps: float) -> Tensor:
+    """``(a - mean) / sqrt(var + eps)`` over the last axis, with the biased
+    variance, as one node. Its backward is the layer-norm gradient (Ba et al.
+    2016), in the rounding order of the composed mean, variance, sqrt and div."""
     a = as_tensor(a)
-    mu = tmean(a, axis, keepdims=True)
-    centered = a - mu
-    var = tmean(centered * centered, axis, keepdims=True)
-    return mu, var
+    inv_n = 1.0 / a.shape[-1]
+    c = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)
+
+    def backward(g):
+        g_c = g / sd
+        g_sq = (-g * c / (sd * sd)).sum(axis=-1, keepdims=True) * 0.5 / sd * inv_n
+        g_cc = g_sq * c + g_sq * c
+        g_mu = (-g_c).sum(axis=-1, keepdims=True) + (-g_cc).sum(axis=-1, keepdims=True)
+        return ((g_c + g_cc) + g_mu * inv_n,)
+
+    return _make(c / sd, "normalize", (a,), backward)

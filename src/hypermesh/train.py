@@ -5,7 +5,7 @@ bit-exact checkpointing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +148,8 @@ def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
 def predict(cfg: PipelineConfig, checkpoint_manifest: str | Path,
             scene: SyntheticScene) -> np.ndarray:
     """Fine-mesh vertices [T, n_fine, 3] that the checkpoint predicts for the scene."""
-    pipeline = build_pipeline(cfg, scene)
+    # the checkpoint holds the trained template: the template file is not read
+    pipeline = build_pipeline(replace(cfg, template_mesh_path=""), scene)
     pipeline.load_state_dict(load_checkpoint(checkpoint_manifest))
     # nothing here runs backward: untracked parameters keep the tape empty
     for param in pipeline.parameters():

@@ -667,6 +667,29 @@ def test_template_mesh_path_sets_the_initial_template(tmp_path):
     assert pipe.state_dict()["template"].tobytes() == template.tobytes()
 
 
+def test_cli_eval_and_export_do_not_read_the_template_file(tmp_path, capsys):
+    # the checkpoint holds the trained template, so the file may move after training
+    template_path = tmp_path / "template.gymt"
+    save_tensor(template_path, np.random.default_rng(4).uniform(-0.5, 0.5,
+                                                                size=(SMALL["n_coarse"], 3)))
+    cfg_path = _write_cfg(tmp_path, template_mesh_path=str(template_path), steps=1,
+                          learning_rate=0.001)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    ckpt = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checkpoint"]
+
+    def outputs(tag):
+        report, obj = tmp_path / f"report_{tag}.csv", tmp_path / f"frame_{tag}.obj"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                     "--report", str(report)]) == 0
+        assert main(["export-mesh", "--config", str(cfg_path), "--checkpoint", ckpt,
+                     "--frame", "1", "--out", str(obj)]) == 0
+        return report.read_bytes(), obj.read_bytes()
+
+    kept = outputs("kept")
+    template_path.unlink()
+    assert outputs("moved") == kept
+
+
 def _nan_template():
     template = np.zeros((SMALL["n_coarse"], 3))
     template[2, 1] = np.nan

@@ -31,14 +31,45 @@ def test_gru_shape_error():
 
 
 @pytest.mark.parametrize("t_frames", [4, 16])
-def test_gru_records_twenty_nodes_per_step(t_frames):
-    # per step: 6 linear, 2 sigmoid and 1 tanh gates, 7 add, 3 mul, 1 sub; then one concat
+def test_gru_records_seventeen_nodes_per_step(t_frames):
+    # per step: 6 linear (each input product rides in a recurrent one's bias),
+    # 2 sigmoid and 1 tanh gates, 4 add, 3 mul, 1 sub; then one concat
     rng = np.random.default_rng(5)
     cell = GruCell(3, 4, rng)
     out = cell(Tensor(rng.normal(size=(t_frames, 3))))
     ops = [node._op for node in T.tape_order(out) if node._parents]
-    assert len(ops) == 20 * t_frames + 1
+    assert len(ops) == 17 * t_frames + 1
     assert ops.count("linear") == 6 * t_frames and "transpose" not in ops
+
+
+def test_gru_matches_the_composed_gate_sums_bit_for_bit():
+    # each gate as (x W + h U) + b in separate add nodes, three more per step
+    rng = np.random.default_rng(6)
+    cell = GruCell(3, 4, rng)
+    x, g = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+
+    def composed(xs):
+        h, outputs = Tensor(np.zeros((1, 4))), []
+        for t in range(xs.shape[0]):
+            x_t = xs[t:t + 1]
+            z = T.sigmoid(T.linear(x_t, cell.w_z) + T.linear(h, cell.u_z) + cell.b_z)
+            r = T.sigmoid(T.linear(x_t, cell.w_r) + T.linear(h, cell.u_r) + cell.b_r)
+            cand = T.tanh(T.linear(x_t, cell.w_h) + T.linear(r * h, cell.u_h) + cell.b_h)
+            h = (1.0 - z) * cand + z * h
+            outputs.append(h)
+        return T.concat(outputs, axis=0)
+
+    runs = []
+    for forward in (cell, composed):
+        cell.zero_grad()
+        xs = Tensor(x, requires_grad=True)
+        out = forward(xs)
+        (out * Tensor(g)).sum().backward()
+        runs.append((len(T.tape_order(out)), out.data.tobytes(),
+                     [a.grad.tobytes() for a in [xs] + cell.parameters()]))
+    (fused_nodes, *fused), (composed_nodes, *reference) = runs
+    assert fused == reference
+    assert composed_nodes - fused_nodes == 3 * x.shape[0]
 
 
 def test_gru_gradcheck():

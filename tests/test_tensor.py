@@ -5,7 +5,7 @@ import pytest
 
 from hypermesh import tensor as T
 from hypermesh.config import PipelineConfig
-from hypermesh.errors import ContractError, NumericError, ShapeError
+from hypermesh.errors import ContractError, ShapeError
 from hypermesh.gradcheck import gradcheck
 from hypermesh.layers import attention
 from hypermesh.synth import synth_generate
@@ -39,9 +39,12 @@ def test_tanh_derivative_at_zero():
     np.testing.assert_allclose(x.grad, [1.0])
 
 
-def test_log_sqrt_domain():
-    with pytest.raises(NumericError):
-        T.sqrt(Tensor([-1.0]))
+def test_normalize_of_a_constant_row_is_zero_with_finite_grads():
+    x = Tensor(np.array([[3.0] * 4, [-0.75] * 4]), requires_grad=True)
+    out = T.normalize(x, 1e-5)
+    assert not out.data.any()
+    (out * Tensor(np.random.default_rng(1).normal(size=(2, 4)))).sum().backward()
+    assert np.isfinite(x.grad).all()
 
 
 def test_backward_requires_scalar():
@@ -103,11 +106,10 @@ def test_erf_port_matches_scipy_within_one_ulp():
         assert np.array_equal(T._erf(shaped), scipy_erf(shaped))
 
 
-def test_layer_stats_mean_var():
-    x = Tensor(np.array([[1.0, 2.0, 3.0, 6.0]]))
-    mu, var = T.layer_stats(x)
-    np.testing.assert_allclose(mu.data, [[3.0]])
-    np.testing.assert_allclose(var.data, [[np.var([1.0, 2.0, 3.0, 6.0])]])
+def test_normalize_matches_mean_and_biased_variance():
+    x = np.array([[1.0, 2.0, 3.0, 6.0]])
+    np.testing.assert_allclose(T.normalize(Tensor(x), 1e-5).data,
+                               (x - x.mean()) / np.sqrt(x.var() + 1e-5), rtol=1e-14)
 
 
 def test_l2norm_smoothing_eps():
@@ -186,6 +188,36 @@ def test_linear_matches_the_composed_affine_map_bit_for_bit():
     assert ts[2].grad.tobytes() == g.sum(axis=0).sum(axis=0).tobytes()
 
 
+def test_normalize_matches_the_composed_layer_norm_bit_for_bit():
+    # the one-node normalization and the chain of mean, centring, mean of
+    # squares, sqrt and div (the layer norm's old tape) round alike
+    rng = np.random.default_rng(9)
+    x, g, eps = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4)), 1e-5
+    x[1, 2] *= 1e-3  # a row whose variance is below eps
+
+    def sqrt(a):
+        data = np.sqrt(a.data)
+        return T._make(data, "sqrt", (a,), lambda gg: (gg * 0.5 / data,))
+
+    def composed(t):
+        mu = t.mean(axis=-1, keepdims=True)
+        centered = t - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return (t - mu) / sqrt(var + eps)
+
+    runs = []
+    for forward in (lambda t: T.normalize(t, eps), composed):
+        xt = Tensor(x, requires_grad=True)
+        out = forward(xt)
+        (out * Tensor(g)).sum().backward()
+        runs.append((out.data.tobytes(), xt.grad.tobytes()))
+    assert runs[0] == runs[1]
+    n = x.shape[-1]
+    c = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    assert runs[0][0] == (c / sd).tobytes()
+
+
 def test_gradcheck_rejects_nonscalar():
     x = Tensor(np.ones((2, 2)))
     with pytest.raises(ContractError):
@@ -199,13 +231,20 @@ def test_gradcheck_fails_on_a_nan_error():
     assert np.isnan(report.max_rel_err) and not report.passed
 
 
-def test_training_tape_has_one_node_per_affine_map_and_attention_call():
-    cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
+def _taped_ops(t_frames: int) -> list[str]:
+    cfg = PipelineConfig(t_frames=t_frames, n_joints=3, feat_dim=8, model_dim=8, heads=2,
                          n_coarse=6, n_fine=10, steps=0)
     scene = synth_generate(cfg)
-    ops = [n._op for n in T.tape_order(scene_loss(build_pipeline(cfg, scene), scene, cfg))
-           if n._parents]
-    assert "transpose" not in ops and "softmax" not in ops
+    return [n._op for n in T.tape_order(scene_loss(build_pipeline(cfg, scene), scene, cfg))
+            if n._parents]
+
+
+def test_training_tape_has_one_node_per_affine_map_and_attention_call():
+    ops = _taped_ops(4)
+    assert len(ops) == 327 and len(_taped_ops(32)) == 1279
+    assert "transpose" not in ops and "softmax" not in ops and "sqrt" not in ops
+    # one per HyperAdaLN: 3 per OptBlock
+    assert ops.count("normalize") == 6
     # 2 per OptBlock, 1 in the prior
     assert ops.count("attention") == 5
     # 19 Linear layers, 4 HyperAttention W_O, 4 prior attention maps, and
