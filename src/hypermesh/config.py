@@ -9,10 +9,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, ContractError
-from .losses import LossWeights
+from .errors import ConfigError
 from .manifold import POLICIES, BallParams
-from .tensor_io import atomic_write
+from .tensor_io import atomic_write, unique_keys
 
 # accepted value types, by field annotation
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
@@ -34,7 +33,7 @@ class PipelineConfig:
     momentum: float = 0.9
     steps: int = 1500
     disable_hmo: bool = False
-    # loss weights
+    # loss weights of losses.total_loss
     lambda_mesh: float = 1.0
     lambda_joint: float = 1.0
     lambda_hyper: float = 1.0
@@ -59,6 +58,8 @@ class PipelineConfig:
             # NaN, infinities and integers too large for a float64
             if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.name.startswith(("lambda_", "steps", "learning_rate")) and value < 0:
+                raise ConfigError(f"{f.name} must be nonnegative, got {value}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
         # a scene needs a coarse edge, and n_fine distinct faces: C(n_fine, 3) >= n_fine
@@ -78,19 +79,9 @@ class PipelineConfig:
                 f"float_width must be one of {sorted(POLICIES)}, got {self.float_width!r}")
         if not (0 <= self.root_joint < self.n_joints):
             raise ConfigError(f"root_joint {self.root_joint} out of range")
-        if self.steps < 0 or self.learning_rate < 0:
-            raise ConfigError("steps and learning_rate must be nonnegative")
-        try:
-            object.__setattr__(self, "_weights", LossWeights(
-                **{f.name: getattr(self, f.name) for f in dataclasses.fields(LossWeights)}))
-        except ContractError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def ball_params(self) -> BallParams:
         return POLICIES[self.float_width]
-
-    def loss_weights(self) -> LossWeights:
-        return self._weights
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -108,8 +99,8 @@ class PipelineConfig:
     def load(cls, path: str | Path) -> "PipelineConfig":
         try:
             with open(path) as fh:
-                data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+                data = json.load(fh, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -1,11 +1,11 @@
-"""Hyperbolic neural building blocks on the Poincaré ball.
-
-All layers keep their activations on the ball: linear layers act through
-Möbius algebra, pointwise/normalization layers sandwich the Euclidean
-operation between logmap0 and expmap0, and attention computes scores and
-aggregation in the tangent space at the origin; the adaptive layer norm
-normalizes with one ``tensor.normalize`` node. The Euclidean :class:`Linear`
-and the attention core :func:`attention`, one tape node each, serve the temporal prior too.
+"""Neural building blocks on the Poincaré ball, and the Euclidean ones of the
+temporal prior. Hyperbolic layers keep their activations on the ball: linear
+layers act through Möbius algebra, pointwise/normalization layers sandwich the
+Euclidean operation between logmap0 and expmap0, and attention computes scores
+and aggregation in the tangent space at the origin; the adaptive layer norm
+normalizes with one ``tensor.normalize`` node. :class:`Linear`, the one-node
+attention core :func:`attention` and :class:`EuclideanAttention` are Euclidean;
+both attention modules draw W_Q, W_K, W_V, W_O in :class:`AttentionWeights`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return T._make(merge(p @ vh, q.shape), "attention", (q, k, v), backward)
 
 
-class HyperAttention(Module):
+class AttentionWeights(Module):
+    """W_Q, W_K, W_V, W_O [dim, dim] of ``heads``-head attention, drawn in that order."""
+
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
+        if dim % heads != 0:
+            raise ShapeError(f"dim {dim} not divisible by heads {heads}")
+        self.w_q = _uniform(rng, (dim, dim))
+        self.w_k = _uniform(rng, (dim, dim))
+        self.w_v = _uniform(rng, (dim, dim))
+        self.w_o = _uniform(rng, (dim, dim))
+        self.heads = heads
+        self.dim = dim
+
+
+class EuclideanAttention(AttentionWeights):
+    """Standard multi-head self-attention over token rows."""
+
+    def __call__(self, x: Tensor) -> Tensor:
+        ctx = attention(T.linear(x, self.w_q), T.linear(x, self.w_k),
+                        T.linear(x, self.w_v), self.heads)
+        return T.linear(ctx, self.w_o)
+
+
+class HyperAttention(AttentionWeights):
     """Multi-head attention with Möbius Q/K/V projections.
 
     Q, K, V are built with Möbius matrix-vector products; scores and the
@@ -128,14 +151,7 @@ class HyperAttention(Module):
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  params: BallParams = DEFAULT_PARAMS):
-        if dim % heads != 0:
-            raise ShapeError(f"dim {dim} not divisible by heads {heads}")
-        self.w_q = _uniform(rng, (dim, dim))
-        self.w_k = _uniform(rng, (dim, dim))
-        self.w_v = _uniform(rng, (dim, dim))
-        self.w_o = _uniform(rng, (dim, dim))
-        self.heads = heads
-        self.dim = dim
+        super().__init__(dim, heads, rng)
         self.params = params
 
     def __call__(self, queries_src: Tensor, keys_src: Tensor) -> Tensor:

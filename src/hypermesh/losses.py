@@ -1,5 +1,6 @@
 """Training losses: Euclidean mesh/joint/normal/edge terms plus the
-hyperbolic mesh loss computed after lifting both vertex sets onto the ball."""
+hyperbolic mesh loss computed after lifting both vertex sets onto the ball,
+weighted in the total by the config's five ``lambda_*`` fields."""
 
 from __future__ import annotations
 
@@ -8,26 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import PipelineConfig
 from .errors import ContractError, ShapeError
 from .manifold import BallParams, DEFAULT_PARAMS, expmap0
 from .pipeline import MeshTopology
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Scalar weights of the total loss; defaults follow the training recipe."""
-
-    lambda_mesh: float = 1.0
-    lambda_joint: float = 1.0
-    lambda_hyper: float = 1.0
-    lambda_normal: float = 0.1
-    lambda_edge: float = 20.0
-
-    def __post_init__(self):
-        for name, v in vars(self).items():
-            if v < 0:
-                raise ContractError(f"{name} must be nonnegative, got {v}")
 
 
 @dataclass
@@ -131,11 +117,10 @@ def euclidean_losses(pred_fine: Tensor, gt_fine: Tensor,
                            edge=l_edge, degenerate_faces=int((~keep).sum()))
 
 
-def total_loss(losses: EuclideanLosses, hymesh: Tensor,
-               weights: LossWeights = LossWeights()) -> Tensor:
-    """Weighted sum of the Euclidean terms and the hyperbolic mesh loss."""
-    return (weights.lambda_mesh * losses.mesh
-            + weights.lambda_joint * losses.joint
-            + weights.lambda_normal * losses.normal
-            + weights.lambda_edge * losses.edge
-            + weights.lambda_hyper * hymesh)
+def total_loss(losses: EuclideanLosses, hymesh: Tensor, cfg: PipelineConfig) -> Tensor:
+    """Weighted sum of the Euclidean terms and the hyperbolic mesh loss: ``cfg.lambda_*``."""
+    return (cfg.lambda_mesh * losses.mesh
+            + cfg.lambda_joint * losses.joint
+            + cfg.lambda_normal * losses.normal
+            + cfg.lambda_edge * losses.edge
+            + cfg.lambda_hyper * hymesh)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ShapeError, TopologyError
-from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear
+from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear, _uniform
 from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add
 from .module import Module
 from .temporal import TemporalPriorExtractor
@@ -92,10 +92,8 @@ class OptBlock(Module):
                  params: BallParams = DEFAULT_PARAMS):
         self.embed_mesh = Linear(3, dim, rng)
         self.embed_pose = Linear(3, dim, rng)
-        self.pos_mesh = Tensor(rng.uniform(-0.05, 0.05, size=(n_tokens, dim)),
-                               requires_grad=True)
-        self.pos_pose = Tensor(rng.uniform(-0.05, 0.05, size=(n_keys, dim)),
-                               requires_grad=True)
+        self.pos_mesh = _uniform(rng, (n_tokens, dim))
+        self.pos_pose = _uniform(rng, (n_keys, dim))
         self.adaln_in = HyperAdaLN(dim, cond_dim, rng, params)
         self.cross_att = HyperAttention(dim, heads, rng, params)
         self.adaln_mid = HyperAdaLN(dim, cond_dim, rng, params)

@@ -2,9 +2,10 @@
 
 Pose stream: frame differences + sequence average -> GRU -> per-frame motion
 code. Feature stream: split at the middle frame, one GRU per half, concat,
-Euclidean multi-head self-attention. The fused prior is the attention output
-plus a learned projection of the pose motion codes. A GRU gate's input
-product rides in the bias of its recurrent ``linear``, 17 tape nodes a step.
+Euclidean multi-head self-attention (``layers.EuclideanAttention``). The
+fused prior is the attention output plus a learned projection of the pose
+motion codes. A GRU gate's input product rides in the bias of its recurrent
+``linear``, 17 tape nodes a step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .layers import Linear, _uniform, attention
+from .layers import EuclideanAttention, Linear, _uniform
 from .module import Module
 from .tensor import Tensor
 
@@ -51,25 +52,6 @@ class GruCell(Module):
             h = (1.0 - z) * cand + z * h
             outputs.append(h)
         return T.concat(outputs, axis=0)
-
-
-class EuclideanAttention(Module):
-    """Standard multi-head self-attention over token rows."""
-
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
-        if dim % heads != 0:
-            raise ShapeError(f"dim {dim} not divisible by heads {heads}")
-        self.w_q = _uniform(rng, (dim, dim))
-        self.w_k = _uniform(rng, (dim, dim))
-        self.w_v = _uniform(rng, (dim, dim))
-        self.w_o = _uniform(rng, (dim, dim))
-        self.heads = heads
-        self.dim = dim
-
-    def __call__(self, x: Tensor) -> Tensor:
-        ctx = attention(T.linear(x, self.w_q), T.linear(x, self.w_k),
-                        T.linear(x, self.w_v), self.heads)
-        return T.linear(ctx, self.w_o)
 
 
 class PoseMotionExtractor(Module):

@@ -41,6 +41,16 @@ def atomic_write(path: str | Path, mode: str = "w"):
         raise
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.load``'s ``object_pairs_hook``: a key given twice raises ``ValueError``."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def save_tensor(path: str | Path, array: np.ndarray) -> None:
     arr = np.asarray(array, dtype="<f8")  # tobytes() is row-major; keeps 0-d shapes
     with atomic_write(path, "wb") as fh:
@@ -107,9 +117,9 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
-            raise ContractError(f"{manifest_path}: not JSON ({exc})") from None
+            manifest = json.load(fh, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
+            raise ContractError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ContractError(f"{manifest_path}: manifest must be a JSON object")
     out = {}

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import PipelineConfig
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .losses import euclidean_losses, hyperbolic_mesh_loss, total_loss
 from .manifold import BallParams, DEFAULT_PARAMS, ball_clamp
 from .metrics import write_metric_report
@@ -74,7 +74,7 @@ def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfi
                           result.m_opt.vertices, Tensor(scene.coarse_meshes),
                           scene.regressor, scene.topology)
     hy = hyperbolic_mesh_loss(result.m_out.vertices, gt_fine, cfg.ball_params())
-    return total_loss(eu, hy, cfg.loss_weights())
+    return total_loss(eu, hy, cfg)
 
 
 def _nonfinite_source(loss: Tensor) -> str:
@@ -162,6 +162,8 @@ def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,
              report_path: str | Path, scene: SyntheticScene) -> dict:
     """Load a checkpoint, run the pipeline on the scene, write the per-frame
     metric CSV and return its summary: each column's mean and ``accel_error_mm``."""
+    if cfg.t_frames < 4:  # the acceleration error needs 3 frames, and t_frames is even
+        raise ConfigError(f"eval needs t_frames >= 4, got {cfg.t_frames}")
     pred_fine = predict(cfg, checkpoint_manifest, scene)
     pred_joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, pred_fine)
     return write_metric_report(report_path, pred_joints, scene.poses,

@@ -12,7 +12,7 @@ from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               np_expmap0, random_ball_points, run_gradchecks)
 from hypermesh.config import PipelineConfig
 from hypermesh.layers import HyperAttention
-from hypermesh.losses import (EuclideanLosses, JointRegressor, LossWeights,
+from hypermesh.losses import (EuclideanLosses, JointRegressor,
                               euclidean_losses, hyperbolic_mesh_loss,
                               total_loss)
 from hypermesh.metrics import accel_error, mpjpe, mpvpe, pa_mpjpe
@@ -165,7 +165,7 @@ def test_criterion_7_loss_composition():
     parts = EuclideanLosses(mesh=Tensor(1.0), joint=Tensor(1.0),
                             normal=Tensor(1.0), edge=Tensor(1.0),
                             degenerate_faces=0)
-    total = total_loss(parts, Tensor(1.0), LossWeights())
+    total = total_loss(parts, Tensor(1.0), PipelineConfig())
     _report(7, f"unit loss components compose to {total.item()!r}",
             total.item() == 23.1)
 

@@ -64,13 +64,12 @@ def test_config_invalid_json(tmp_path):
 
 
 def test_config_fields_are_fixed_once_validated():
-    # the loss weights are built from the fields once; a later assignment
-    # would leave them behind, and would skip validation
+    # a later assignment would skip validation
     cfg = _small_cfg()
     for field, value in (("lambda_edge", 0.0), ("float_width", "double")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, value)
-    assert cfg.loss_weights().lambda_edge == cfg.lambda_edge == 20.0
+    assert cfg.lambda_edge == 20.0
 
 
 def test_float_width_policies():
@@ -422,6 +421,17 @@ def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     assert not (tmp_path / "scene").exists()
 
 
+def test_cli_config_key_given_twice_exit_code(tmp_path, capsys):
+    # json alone keeps the last copy: this config would run 1,500 steps
+    path = tmp_path / "config.json"
+    path.write_text('{"steps": 3, "steps": 1500}')
+    assert main(["synth", "--config", str(path),
+                 "--out", str(tmp_path / "scene")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "'steps' given twice" in err["message"]
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000],
                          ids=["not_utf8", "nested_too_deep"])
 def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
@@ -454,6 +464,39 @@ def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
                  "--report", str(tmp_path / "report.csv")]) == 5
     assert json.loads(capsys.readouterr().err.strip())["error"] == "contract"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_cli_eval_refuses_a_manifest_entry_given_twice(tmp_path, capsys):
+    # json alone keeps the last copy: hpo.head.b would load hmo.head.b's array
+    cfg_path = _write_cfg(tmp_path)
+    path = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    (path.parent / "extra.gymt").write_bytes((path.parent / "hmo_head_b.gymt").read_bytes())
+    path.write_text(path.read_text().rstrip()[:-1]
+                    + ', "hpo.head.b": {"file": "extra.gymt", "shape": [3]}}\n')
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
+                 "--report", str(tmp_path / "report.csv")]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "contract" and "'hpo.head.b' given twice" in err["message"]
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_cli_eval_needs_four_frames(tmp_path, capsys):
+    # the acceleration error needs 3 frames; the other commands run on 2
+    cfg_path = str(_write_cfg(tmp_path, t_frames=2, steps=1, learning_rate=0.001))
+    assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "scene")]) == 0
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    ckpt = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checkpoint"]
+    assert main(["export-mesh", "--config", cfg_path, "--checkpoint", ckpt, "--frame", "1",
+                 "--out", str(tmp_path / "frame1.obj"), "--scene", str(tmp_path / "scene")]) == 0
+    # refused before the checkpoint is read: a missing one changes nothing
+    for checkpoint in (ckpt, str(tmp_path / "missing.json")):
+        assert main(["eval", "--config", cfg_path, "--checkpoint", checkpoint,
+                     "--report", str(tmp_path / "report.csv"),
+                     "--scene", str(tmp_path / "scene")]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "t_frames" in err["message"]
     assert not (tmp_path / "report.csv").exists()
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from hypermesh.checks import losses_loop_oracle, random_ball_points
 from hypermesh.config import PipelineConfig
-from hypermesh.errors import ContractError, ShapeError
+from hypermesh.errors import ConfigError, ContractError, ShapeError
 from hypermesh.gradcheck import gradcheck
-from hypermesh.losses import (EuclideanLosses, JointRegressor, LossWeights,
+from hypermesh.losses import (EuclideanLosses, JointRegressor,
                               euclidean_losses, hyperbolic_mesh_loss,
                               total_loss)
 from hypermesh.pipeline import MeshTopology
@@ -33,8 +33,8 @@ def _regressor(nf=6):
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ContractError):
-        LossWeights(lambda_edge=-1.0)
+    with pytest.raises(ConfigError, match="lambda_edge must be nonnegative, got -1.0"):
+        PipelineConfig(lambda_edge=-1.0)
 
 
 def test_regressor_row_stochastic_check():
@@ -111,11 +111,10 @@ def test_total_loss_weighted_composition():
     losses = EuclideanLosses(mesh=Tensor(1.0), joint=Tensor(1.0),
                              normal=Tensor(1.0), edge=Tensor(1.0),
                              degenerate_faces=0)
-    total = total_loss(losses, Tensor(1.0))
+    total = total_loss(losses, Tensor(1.0), PipelineConfig())
     # 1 + 1 + 0.1 + 20 + 1 with the default weights
     np.testing.assert_allclose(total.item(), 23.1, atol=0.0)
-    flat = total_loss(losses, Tensor(1.0),
-                      LossWeights(1.0, 1.0, 1.0, 1.0, 1.0))
+    flat = total_loss(losses, Tensor(1.0), PipelineConfig(lambda_normal=1.0, lambda_edge=1.0))
     np.testing.assert_allclose(flat.item(), 5.0, atol=0.0)
 
 
@@ -130,7 +129,7 @@ def test_losses_differentiable():
 
     def f(pfv, pcv):
         eu = euclidean_losses(pfv, gf, pcv, gc, reg, topo)
-        return total_loss(eu, hyperbolic_mesh_loss(pfv, gf))
+        return total_loss(eu, hyperbolic_mesh_loss(pfv, gf), PipelineConfig())
 
     report = gradcheck(f, [pf, pc], tol=1e-5)
     assert report.passed, report.max_rel_err
