@@ -416,6 +416,7 @@ def _primitive_entries():
     yield entry("matmul", lambda a, b: a @ b, (3, 4), (4, 2))
     yield entry("matmul_batched", lambda a, b: a @ b, (2, 3, 4), (2, 4, 2))
     yield entry("linear", T.linear, (2, 3, 4), (5, 4), (5,))
+    yield entry("linear_blocks", T.linear, (2, 2, 3, 4), (2, 5, 4), (2, 1, 5))
     yield entry("reshape", lambda a: a.reshape(4, 3), (3, 4))
     yield entry("concat", lambda a, b: T.concat([a, b], axis=1), (3, 2), (3, 4))
     yield entry("slice", lambda a: a[1:, ::2], (4, 6))
@@ -519,6 +520,9 @@ def _layer_entries():
                                         [Tensor(rng.normal(size=(4, 3)))]))
     yield entry("logmap0", lambda rng: (lambda x: logmap0(x, p), [rows(rng, (4, 3))]))
     yield entry("mobius_matvec", build_matvec)
+    # a weight slice per block: w [2, 5, 3] against rows [T, 2, 4, 3]
+    yield entry("mobius_matvec_blocks", lambda rng: (lambda wm, x: mobius_matvec(wm, x, p), [
+        Tensor(rng.normal(size=(2, 5, 3)) * 0.5), rows(rng, (3, 2, 4, 3))]))
     yield entry("project_to_ball_clamped", lambda rng: (
         lambda x: project_to_ball(x, p), [rows(rng, (4, 3), 3.0, 1.2)]))
     # tanh(n/2) passes 1 - eps_ball at n ~ 12.2
@@ -546,11 +550,11 @@ def _block_entries():
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8,
                          heads=2, n_coarse=6, n_fine=10, seed=11, steps=0)
 
-    def run_block(rng, block_name, lead=()):
-        # lead=(T,) runs all frames in one call: cond [T, 1, D_f], pose [T, J, 3]
-        block = getattr(build_pipeline(cfg, synth_generate(cfg)), block_name)
-        tm_row = Tensor(rng.normal(size=lead + (1,) * len(lead) + (cfg.feat_dim,)) * 0.2)
-        pose = Tensor(rng.normal(size=lead + (cfg.n_joints, 3)) * 0.3)
+    def run_pair(rng, lead=()):
+        # both blocks in one call; lead=(T,) adds frames: cond [T, 1, 1, D_f], pose [T, 2, J, 3]
+        block = build_pipeline(cfg, synth_generate(cfg)).blocks
+        tm_row = Tensor(rng.normal(size=lead + (1, 1) * len(lead) + (cfg.feat_dim,)) * 0.2)
+        pose = Tensor(rng.normal(size=lead + (2, cfg.n_joints, 3)) * 0.3)
         m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
         fn = _projected(lambda mi, tr, po, *params: block(mi, tr, po), rng)
         return gradcheck(fn, [m_init, tm_row, pose] + block.parameters(),
@@ -564,10 +568,8 @@ def _block_entries():
         return gradcheck(lambda *ps: scene_loss(pipeline, scene, cfg),
                          subset, tol=1e-3, max_entries=2, rng=rng)
 
-    for name, build in (("hpo_block", lambda rng: run_block(rng, "hpo")),
-                        ("hmo_block", lambda rng: run_block(rng, "hmo")),
-                        ("hpo_block_frames", lambda rng: run_block(rng, "hpo", (cfg.t_frames,))),
-                        ("hmo_block_frames", lambda rng: run_block(rng, "hmo", (cfg.t_frames,))),
+    for name, build in (("block_pair", run_pair),
+                        ("block_pair_frames", lambda rng: run_pair(rng, (cfg.t_frames,))),
                         ("total_loss_end_to_end", run_total_loss)):
         yield ("mesh-pipeline", name, build)
 

@@ -60,6 +60,8 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if f.name.startswith(("lambda_", "steps", "learning_rate")) and value < 0:
                 raise ConfigError(f"{f.name} must be nonnegative, got {value}")
+            if f.name == "momentum" and not 0 <= value < 1:  # else the velocity never decays
+                raise ConfigError(f"momentum must be in [0, 1), got {value}")
         if self.t_frames < 2 or self.t_frames % 2 != 0:
             raise ConfigError(f"t_frames must be even and >= 2, got {self.t_frames}")
         # a scene needs a coarse edge, and n_fine distinct faces: C(n_fine, 3) >= n_fine

@@ -37,7 +37,7 @@ def gradcheck(f: Callable[..., Tensor],
               rng: np.random.Generator | None = None) -> GradcheckReport:
     """Compare reverse-mode gradients of ``f(*inputs)`` with central differences.
 
-    ``f`` must return a scalar tensor. Relative error per entry is
+    ``f`` must return a tensor of size 1, of any rank. Relative error per entry is
     |a - n| / max(1, |a|, |n|). ``max_entries`` caps the number of
     finite-difference probes per input (seeded subsample) for deep graphs.
     """
@@ -47,7 +47,7 @@ def gradcheck(f: Callable[..., Tensor],
         x.zero_grad()
     out = f(*inputs)
     if out.data.size != 1:
-        raise ContractError("gradcheck requires a scalar-valued function")
+        raise ContractError("gradcheck requires a function with one output value")
     out.backward()
 
     errs = [0.0]
@@ -64,9 +64,9 @@ def gradcheck(f: Callable[..., Tensor],
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + step
-            fp = float(f(*inputs).data)
+            fp = f(*inputs).data.item()
             flat[i] = orig - step
-            fm = float(f(*inputs).data)
+            fm = f(*inputs).data.item()
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * step)
             errs.append(_rel_err(float(analytic.reshape(-1)[i]), numeric))

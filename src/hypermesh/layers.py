@@ -6,6 +6,10 @@ and aggregation in the tangent space at the origin; the adaptive layer norm
 normalizes with one ``tensor.normalize`` node. :class:`Linear`, the one-node
 attention core :func:`attention` and :class:`EuclideanAttention` are Euclidean;
 both attention modules draw W_Q, W_K, W_V, W_O in :class:`AttentionWeights`.
+Every layer also runs B stacked copies of itself in one call: with each
+parameter given a leading block axis (a bias [out] as [B, 1, out]), token
+rows [..., B, n, d] and a condition [..., B, 1, D] map slice b by weight
+slice b, as ``tensor.linear`` and ``manifold.mobius_matvec`` do.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ one node per op instead of 10-20 primitive nodes is what makes them cheap.
 Conventions:
 - ball points and tangent vectors are plain :class:`~hypermesh.tensor.Tensor`
   values of shape [..., n];
+- a weight of :func:`mobius_matvec` may carry a leading block axis, [B, m, n]
+  against points [..., B, k, n], so that blocks of one architecture run in
+  one call;
 - zero-norm singularities are removed with a smoothed norm
   sqrt(||x||^2 + eps_norm^2), whose limit at the origin matches the
   removable-singular limit of the exact formulas.
@@ -199,14 +202,16 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
     """Möbius matrix-vector product W (x)_M x.
 
     tanh((||Wx|| / ||x||) atanh(||x||)) Wx / ||Wx||, equivalently
-    expmap0(W . logmap0(x)). Acts on the trailing axis; ``w`` is [m, n],
-    ``x`` is [..., n].
+    expmap0(W . logmap0(x)). Acts on the trailing axis; ``w`` is [m, n] and
+    ``x`` is [..., n], or ``w`` is [B, m, n] and ``x`` is [..., B, k, n], one
+    weight slice per block.
     """
     w, x = T.as_tensor(w), T.as_tensor(x)
-    if w.ndim != 2 or w.shape[1] != x.shape[-1]:
+    if (w.ndim not in (2, 3) or w.shape[-1] != x.shape[-1]
+            or (w.ndim == 3 and (x.ndim < 3 or x.shape[-3] != w.shape[0]))):
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")
     wd, xd = w.data, x.data
-    y = xd @ wd.T
+    y = xd @ wd.mT
     nx = _smoothed_norm(xd, p)
     ny = _smoothed_norm(y, p)
     atx = _atanh(nx)
@@ -214,6 +219,10 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
     t = np.tanh(r * atx)
     s = t / ny
     data, vjp = ball_clamp(y * s, p)
+
+    def rows(a):  # [..., n] -> the rows each weight slice sees: [rows, n] or [B, rows, n]
+        lead = w.shape[:-2]
+        return (np.moveaxis(a, -3, 0) if lead else a).reshape(*lead, -1, a.shape[-1])
 
     def backward(g):
         # z = y s, s = t / ny, t = tanh(u), u = r atanh(nx), r = ny / nx
@@ -225,7 +234,7 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
         gy = gz * s + (g_ny / ny) * y
         gw = gx = None
         if w.requires_grad:
-            gw = gy.reshape(-1, gy.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+            gw = rows(gy).mT @ rows(xd)
         if x.requires_grad:
             g_nx = g_u * r / (1.0 - nx * nx) - g_r * r / nx
             gx = gy @ wd + (g_nx / nx) * xd

@@ -2,14 +2,13 @@
 
 Modules hold Tensors (parameters) and child Modules as attributes; parameter
 names are derived from attribute paths, in sorted order, so checkpoints are
-stable across runs.
+stable across runs (``MeshPipeline`` writes and reads them).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import copy
 
-from .errors import ContractError
 from .tensor import Tensor
 
 
@@ -39,22 +38,14 @@ class Module:
                 out.extend(value.ball_parameters())
         return out
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        if set(state) != set(params):
-            missing = set(params) - set(state)
-            extra = set(state) - set(params)
-            raise ContractError(f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for k, v in params.items():
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != v.data.shape:
-                raise ContractError(f"state dict entry {k}: shape {arr.shape} != {v.data.shape}")
-            if not np.isfinite(arr).all():
-                raise ContractError(f"state dict entry {k} is not finite")
-            v.data = arr.copy()
+    def __getitem__(self, key) -> "Module":
+        """A shallow copy whose tensors are their ``key`` slices, on the tape: of
+        parameters stacked on a leading block axis, ``[:1]`` keeps the first block."""
+        out = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, (Tensor, Module)):
+                setattr(out, name, value[key])
+        return out
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -2,8 +2,10 @@
 
 Two architecturally identical blocks refine the learnable coarse template:
 one attends to the frame's static 3D pose, the other to the pose motion
-codes. Their outputs are summed and upsampled to the fine mesh with a fixed
-row-stochastic matrix.
+codes. They are stored as one :class:`OptBlock` whose parameters carry a
+leading block axis, and run in one call on both streams; a checkpoint holds
+each block's slice under its own name (``hpo.*``, ``hmo.*``). Their outputs
+are summed and upsampled to the fine mesh with a fixed row-stochastic matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TopologyError
+from . import tensor as T
+from .errors import ContractError, NumericError, ShapeError, TopologyError
 from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear, _uniform
 from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add
 from .module import Module
@@ -85,6 +88,9 @@ class OptBlock(Module):
     One call runs every frame: ``cond`` [T, 1, D_f] and ``pose`` [T, J, 3]
     give [T, n_tokens, 3]. The frame-independent mesh-token prefix is
     computed once and broadcast over the frames by the first adaptive LN.
+    A block whose parameters carry a leading block axis B (a bias [out] as
+    [B, 1, out]) runs B blocks at once: ``cond`` [T, B or 1, 1, D_f] and
+    ``pose`` [T, B, J, 3] give [T, B, n_tokens, 3], slice b by weight slice b.
     """
 
     def __init__(self, n_tokens: int, n_keys: int, cond_dim: int, dim: int,
@@ -150,6 +156,10 @@ class SequenceResult:
     m_out: MeshState
 
 
+# checkpoint name of each block slice: 0 refines from the 3D pose, 1 from the pose motion
+BLOCKS = ("hpo", "hmo")
+
+
 class MeshPipeline(Module):
     """Temporal prior extractor + dual optimization blocks + upsampling."""
 
@@ -163,10 +173,45 @@ class MeshPipeline(Module):
         if not np.isfinite(template).all():
             raise NumericError("template mesh is not finite")
         self.prior = TemporalPriorExtractor(n_joints, feat_dim, heads, rng)
-        self.hpo = OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
-        self.hmo = OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
+        lone = [OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
+                for _ in BLOCKS]
+        named = [block.named_parameters() for block in lone]
+        self.block_shapes = {k: v.shape for k, v in named[0].items()}
+        for k, v in named[0].items():  # the first block takes every block's values
+            v.data = np.array([n[k].data for n in named]).reshape(len(BLOCKS), -1, v.shape[-1])
+        self.blocks = lone[0]
         self.template = Tensor(template.copy(), requires_grad=True)
         self.topology = topology
+
+    def _layout(self) -> dict[str, tuple[Tensor, int | None, tuple[int, ...]]]:
+        """Checkpoint name -> (parameter, its block slice or None, shape): the names,
+        shapes and order of two lone blocks under ``BLOCKS``, which sort first."""
+        named = self.named_parameters()
+        stacked = {k: named.pop("blocks." + k) for k in self.block_shapes}
+        return {f"{b}.{k}": (v, BLOCKS.index(b), self.block_shapes[k]) for b in sorted(BLOCKS)
+                for k, v in stacked.items()} | {k: (v, None, v.shape) for k, v in named.items()}
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {k: (v.data if i is None else v.data[i].reshape(shape)).copy()
+                for k, (v, i, shape) in self._layout().items()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Checks every entry, naming the first that fails, before it loads any."""
+        layout = self._layout()
+        if set(state) != set(layout):
+            raise ContractError(f"state dict mismatch: missing={sorted(set(layout) - set(state))}, "
+                                f"extra={sorted(set(state) - set(layout))}")
+        arrays = {k: np.asarray(state[k], dtype=np.float64) for k in layout}
+        for k, (v, i, shape) in layout.items():
+            if arrays[k].shape != shape:
+                raise ContractError(f"state dict entry {k}: shape {arrays[k].shape} != {shape}")
+            if not np.isfinite(arrays[k]).all():
+                raise ContractError(f"state dict entry {k} is not finite")
+        for k, (v, i, _) in layout.items():
+            if i is None:
+                v.data = arrays[k].copy()
+        for k, v in self.blocks.named_parameters().items():
+            v.data = np.array([arrays[f"{b}.{k}"] for b in BLOCKS]).reshape(v.shape)
 
     def run_sequence(self, poses: Tensor, feats: Tensor,
                      disable_hmo: bool = False) -> SequenceResult:
@@ -174,13 +219,18 @@ class MeshPipeline(Module):
             raise ShapeError(
                 f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
         tm_pr, p_motion = self.prior(poses, feats)
-        # one [T, 1, D_f] view shared by both blocks
-        cond = tm_pr.reshape(tm_pr.shape[0], 1, tm_pr.shape[1])
-        m_p = self.hpo(self.template, cond, poses)
-        if disable_hmo:
-            m_m = Tensor(np.zeros_like(m_p.data))
-        else:
-            m_m = self.hmo(self.template, cond, p_motion)
+        t_frames, n_joints = poses.shape[:2]
+        # the ablation runs the pose block's slice alone; the motion slice's gradient is 0
+        streams = [poses] if disable_hmo else [poses, p_motion]
+        block = self.blocks[:1] if disable_hmo else self.blocks
+        # cond [T, B, 1, D_f]: each block sums its own gradient terms, as a lone
+        # block does, before the blocks' sums are added
+        cond = T.broadcast_to(tm_pr.reshape(t_frames, 1, 1, tm_pr.shape[1]),
+                              (t_frames, len(streams), 1, tm_pr.shape[1]))
+        out = block(self.template, cond,
+                    T.concat([s.reshape(t_frames, 1, n_joints, 3) for s in streams], axis=1))
+        m_p = out[:, 0]
+        m_m = Tensor(np.zeros_like(m_p.data)) if disable_hmo else out[:, 1]
         m_opt, m_out = fuse_and_upsample(
             MeshState(m_p, self.topology), MeshState(m_m, self.topology))
         return SequenceResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out)

@@ -3,8 +3,10 @@
 Values are float64 numpy arrays wrapped in :class:`Tensor`. Every primitive,
 the affine map :func:`linear` (there is no transpose op) and the layer
 normalization :func:`normalize` included, records one node and a backward
-closure; ``backward()`` on a scalar walks the tape in reverse topological
+closure; ``backward()`` on a size-1 output walks the tape in reverse topological
 order into the leaves (tensors made with ``requires_grad``, not by an op).
+A weight [B, out, in] of ``linear`` maps activations [..., B, n, in] with
+one slice per block, batched over a leading block axis.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -56,14 +58,14 @@ class Tensor:
     # -- backward pass -------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar output.
+        """Reverse-mode pass from an output of size 1, of any rank.
 
         Accumulates into ``.grad`` of every reachable leaf with
         ``requires_grad``; gradients are kept only on leaves, never on tensors
         made by an op. Each graph node is visited exactly once.
         """
         if self.data.size != 1:
-            raise ContractError("backward() requires a scalar tensor")
+            raise ContractError("backward() requires a tensor of size 1")
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(tape_order(self)):
             g = pending.pop(id(node), None)
@@ -78,50 +80,6 @@ class Tensor:
                     continue
                 acc = pending.get(id(parent))
                 pending[id(parent)] = pg if acc is None else acc + pg
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, *shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis, keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -230,16 +188,17 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """``x @ w.T (+ b)`` on the trailing axis, as one node. Its gradients repeat
-    the expressions of the composed transpose, matmul and add, bit for bit."""
+    """``x @ w.T (+ b)`` on the trailing axis, as one node; a weight [B, out, in]
+    maps each block's slice [..., B, n, in] apart. Its gradients repeat the
+    expressions of the composed transpose, matmul and add, bit for bit."""
     x, w = as_tensor(x), as_tensor(w)
     bias = () if b is None else (as_tensor(b),)
-    data = x.data @ w.data.T + bias[0].data if bias else x.data @ w.data.T
+    wt = w.data.mT  # not read by backward: a tape must not keep replaced weights alive
+    data = x.data @ wt + bias[0].data if bias else x.data @ wt
 
     def backward(g):
         return (_unbroadcast(g @ w.data, x.shape) if x.requires_grad else None,
-                _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T
-                if w.requires_grad else None,
+                _unbroadcast(x.data.mT @ g, w.data.mT.shape).mT if w.requires_grad else None,
                 *(_unbroadcast(g, t.shape) if t.requires_grad else None for t in bias))
 
     return _make(data, "linear", (x, w, *bias), backward)
@@ -311,6 +270,17 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = a.shape[axis]
     return tsum(a, axis, keepdims) * (1.0 / count)
+
+
+# -- operator sugar: the methods are the functions above, operands swapped for
+# the reflected forms -------------------------------------------------------
+
+Tensor.__add__, Tensor.__radd__ = add, lambda a, b: add(b, a)
+Tensor.__sub__, Tensor.__rsub__ = sub, lambda a, b: sub(b, a)
+Tensor.__mul__, Tensor.__rmul__ = mul, lambda a, b: mul(b, a)
+Tensor.__truediv__, Tensor.__rtruediv__ = div, lambda a, b: div(b, a)
+Tensor.__neg__, Tensor.__matmul__, Tensor.__getitem__ = neg, matmul, getitem
+Tensor.reshape, Tensor.sum, Tensor.mean = reshape, tsum, tmean
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -407,10 +407,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ({"learning_rate": float("nan")}, "learning_rate"),
     ({"lambda_mesh": float("inf")}, "lambda_mesh"),
     ({"learning_rate": 10 ** 400}, "learning_rate"),
+    ({"momentum": -1.0}, "momentum"),
+    ({"momentum": 1.0}, "momentum"),
+    ({"momentum": 3.0}, "momentum"),
 ], ids=["wrong_type", "out_of_range", "removed_field", "removed_eps_ball",
         "removed_eps_norm", "removed_hymesh_scale", "removed_output_dir",
         "negative_loss_weight", "nan_learning_rate", "infinite_loss_weight",
-        "int_beyond_float64"])
+        "int_beyond_float64", "negative_momentum", "momentum_one", "momentum_above_one"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
@@ -419,6 +422,17 @@ def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config" and named in err["message"]
     assert not (tmp_path / "scene").exists()
+
+
+def test_cli_train_refuses_momentum_that_does_not_decay(tmp_path, capsys):
+    # at momentum 1.5 the velocity grows each step: 40 steps ended at loss 8e5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL, "momentum": 1.5, "steps": 40}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"] == "momentum must be in [0, 1), got 1.5"
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_config_key_given_twice_exit_code(tmp_path, capsys):

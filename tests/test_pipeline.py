@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from hypermesh import tensor as T
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError, TopologyError
-from hypermesh.pipeline import (MeshState, MeshTopology, OptBlock, export_obj,
+from hypermesh.module import Module
+from hypermesh.pipeline import (BLOCKS, MeshState, MeshTopology, OptBlock, export_obj,
                                 fuse_and_upsample)
 from hypermesh.synth import build_toy_topology, fibonacci_sphere, synth_generate
+from hypermesh.temporal import TemporalPriorExtractor
 from hypermesh.tensor import Tensor
-from hypermesh.train import build_pipeline, scene_loss
+from hypermesh.tensor_io import save_checkpoint
+from hypermesh.train import build_pipeline, predict, scene_loss
 
 SMALL = dict(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
              n_coarse=6, n_fine=10, steps=0)
@@ -15,6 +19,24 @@ SMALL = dict(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
 
 def _small_cfg(**kw):
     return PipelineConfig(**{**SMALL, **kw})
+
+
+def _streams(first, second):
+    """Two [T, J, 3] pose streams as the batched block's [T, 2, J, 3] input."""
+    return Tensor(np.stack([np.asarray(first), np.asarray(second)], axis=1))
+
+
+def _lone_blocks(cfg, scene, seed_shift=0):
+    """A pipeline of two lone blocks, as before the blocks were batched: the
+    same draws from the same generator, under hpo and hmo."""
+    ref = Module()
+    rng = np.random.default_rng(cfg.seed + 1 + seed_shift)
+    ref.prior = TemporalPriorExtractor(cfg.n_joints, cfg.feat_dim, cfg.heads, rng)
+    for name in BLOCKS:
+        setattr(ref, name, OptBlock(cfg.n_coarse, cfg.n_joints, cfg.feat_dim,
+                                    cfg.model_dim, cfg.heads, rng, cfg.ball_params()))
+    ref.template = Tensor(fibonacci_sphere(cfg.n_coarse), requires_grad=True)
+    return ref
 
 
 def _topology(nc=4, nf=6):
@@ -93,7 +115,7 @@ def test_every_ball_op_keeps_the_float_width_margin(ball_norms, width):
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
     for name, param in pipe.named_parameters().items():
-        if name.startswith(("hpo.", "hmo.")):
+        if name.startswith("blocks."):
             param.data = param.data * 60.0
     scene_loss(pipe, scene, cfg)
     shell = 1.0 - cfg.ball_params().eps_ball
@@ -120,12 +142,12 @@ def test_batched_frames_match_single_frame_calls():
     poses = Tensor(scene.poses)
     result = pipe.run_sequence(poses, Tensor(scene.feats))
     tm_pr, p_motion = pipe.prior(poses, Tensor(scene.feats))
-    cond = tm_pr.reshape(cfg.t_frames, 1, cfg.feat_dim)
+    cond = tm_pr.reshape(cfg.t_frames, 1, 1, cfg.feat_dim)
+    streams = _streams(scene.poses, p_motion.data)
     for t in range(cfg.t_frames):
-        m_p = pipe.hpo(pipe.template, cond[t:t + 1], poses[t:t + 1])
-        m_m = pipe.hmo(pipe.template, cond[t:t + 1], p_motion[t:t + 1])
-        assert np.array_equal(m_p.data, result.m_p.data[t:t + 1])
-        assert np.array_equal(m_m.data, result.m_m.data[t:t + 1])
+        out = pipe.blocks(pipe.template, cond[t:t + 1], streams[t:t + 1])
+        assert np.array_equal(out.data[:, 0], result.m_p.data[t:t + 1])
+        assert np.array_equal(out.data[:, 1], result.m_m.data[t:t + 1])
 
 
 def test_frame_outputs_depend_only_on_their_frame():
@@ -133,18 +155,20 @@ def test_frame_outputs_depend_only_on_their_frame():
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
     tm_pr, _ = pipe.prior(Tensor(scene.poses), Tensor(scene.feats))
-    cond = tm_pr.reshape(cfg.t_frames, 1, cfg.feat_dim)
+    cond = tm_pr.reshape(cfg.t_frames, 1, 1, cfg.feat_dim)
     moved = scene.poses.copy()
     moved[2] += 0.1
-    before = pipe.hpo(pipe.template, cond, Tensor(scene.poses)).data
-    after = pipe.hpo(pipe.template, cond, Tensor(moved)).data
+    before = pipe.blocks(pipe.template, cond, _streams(scene.poses, scene.poses)).data
+    after = pipe.blocks(pipe.template, cond, _streams(moved, scene.poses)).data
     for t in (0, 1, 3):
         assert np.array_equal(before[t], after[t])
-    assert not np.array_equal(before[2], after[2])
+    assert not np.array_equal(before[2, 0], after[2, 0])
+    # the motion slice does not see the pose stream
+    assert np.array_equal(before[:, 1], after[:, 1])
 
 
 @pytest.mark.parametrize("t_frames", [4, 8])
-def test_opt_block_called_twice_per_sequence(monkeypatch, t_frames):
+def test_opt_block_called_once_per_sequence(monkeypatch, t_frames):
     calls = []
     call = OptBlock.__call__
 
@@ -158,7 +182,76 @@ def test_opt_block_called_twice_per_sequence(monkeypatch, t_frames):
     pipe = build_pipeline(cfg, scene)
     result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
     assert result.m_out.vertices.shape == (t_frames, cfg.n_fine, 3)
-    assert calls == [pipe.hpo, pipe.hmo]
+    assert calls == [pipe.blocks]
+
+
+@pytest.mark.parametrize("width", [{}, {"model_dim": 128, "heads": 4, "n_coarse": 32,
+                                        "n_fine": 128}], ids=["default", "width_128"])
+def test_each_block_slice_matches_a_lone_block_bit_for_bit(width):
+    # forward output, every parameter gradient and the condition's gradient of
+    # slice b equal those of a lone OptBlock holding slice b's weights, byte for byte
+    cfg = PipelineConfig(**width)
+    pipe = build_pipeline(cfg, synth_generate(cfg))
+    state = pipe.state_dict()
+    rng = np.random.default_rng(21)
+    t_frames = cfg.t_frames
+    cond = Tensor(rng.normal(size=(t_frames, 2, 1, cfg.feat_dim)) * 0.2, requires_grad=True)
+    streams = rng.normal(size=(t_frames, 2, cfg.n_joints, 3)) * 0.3
+    probe = rng.normal(size=(t_frames, 2, cfg.n_coarse, 3))
+    out = pipe.blocks(pipe.template, cond, Tensor(streams))
+    (out * Tensor(probe)).sum().backward()
+    for b, name in enumerate(BLOCKS):
+        lone = OptBlock(cfg.n_coarse, cfg.n_joints, cfg.feat_dim, cfg.model_dim, cfg.heads,
+                        np.random.default_rng(0), cfg.ball_params())
+        for k, param in lone.named_parameters().items():
+            param.data = state[f"{name}.{k}"]
+        lone_cond = Tensor(cond.data[:, b], requires_grad=True)
+        lone_out = lone(pipe.template, lone_cond, Tensor(streams[:, b]))
+        assert out.data[:, b].tobytes() == lone_out.data.tobytes()
+        (lone_out * Tensor(probe[:, b])).sum().backward()
+        assert cond.grad[:, b].tobytes() == lone_cond.grad.tobytes()
+        batched = pipe.blocks.named_parameters()
+        for k, param in lone.named_parameters().items():
+            got = batched[k].grad[b].reshape(param.shape)
+            assert got.tobytes() == param.grad.tobytes(), (name, k)
+
+
+def test_checkpoint_layout_is_that_of_two_lone_blocks():
+    # names, shapes, order and initial bytes: two lone blocks drawn in turn
+    # from the same generator, under hpo and hmo
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    state = build_pipeline(cfg, scene).state_dict()
+    want = {k: v.data for k, v in _lone_blocks(cfg, scene).named_parameters().items()}
+    assert list(state) == list(want)
+    assert sum(k.startswith(("hpo.", "hmo.")) for k in state) == 72
+    for k in want:
+        assert state[k].shape == want[k].shape and state[k].tobytes() == want[k].tobytes(), k
+
+
+def test_lone_blocks_checkpoint_loads_into_the_batched_pipeline(tmp_path):
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    ref = _lone_blocks(cfg, scene, seed_shift=7)
+    manifest = save_checkpoint(tmp_path / "ckpt",
+                               {k: v.data for k, v in ref.named_parameters().items()})
+    got = predict(cfg, manifest, scene)
+    poses = Tensor(scene.poses)
+    tm_pr, p_motion = ref.prior(poses, Tensor(scene.feats))
+    cond = tm_pr.reshape(cfg.t_frames, 1, cfg.feat_dim)
+    m_p = ref.hpo(ref.template, cond, poses)
+    m_m = ref.hmo(ref.template, cond, p_motion)
+    want = T.matmul(Tensor(scene.topology.upsampler), m_p + m_m).data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_ablation_leaves_the_motion_slice_untouched():
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    scene_loss(pipe, scene, cfg, disable_hmo=True).backward()
+    for k, param in pipe.blocks.named_parameters().items():
+        assert not param.grad[1].any() and param.grad[0].any(), k
 
 
 def test_pipeline_forward_determinism():
@@ -194,56 +287,73 @@ def test_pipeline_state_dict_strictness():
         pipe.load_state_dict(state)
 
 
+def test_failed_load_leaves_every_parameter_as_it_was():
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    before = pipe.state_dict()
+    state = build_pipeline(_small_cfg(seed=5), scene).state_dict()
+    state["template"] = np.full_like(state["template"], np.nan)  # the last entry
+    with pytest.raises(ContractError, match="state dict entry template is not finite"):
+        pipe.load_state_dict(state)
+    after = pipe.state_dict()
+    assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
+
+
 def test_template_is_trainable_and_ball_params_counted():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
     names = pipe.named_parameters()
     assert "template" in names
-    # each HyperFFN holds two ball biases; two FFNs per block, two blocks
-    assert len(pipe.ball_parameters()) == 8
+    # each HyperFFN holds two ball biases, two FFNs per block: 4 tensors, each
+    # holding both blocks' biases on its leading axis
+    balls = pipe.ball_parameters()
+    assert len(balls) == 4 and all(b.shape[:2] == (2, 1) for b in balls)
 
 
 def test_opt_block_zero_weights_zero_head_outputs_zero_mesh():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    block = pipe.hpo
+    block = pipe.blocks
     for p in block.parameters():
         p.data = np.zeros_like(p.data)
     out = block(Tensor(np.zeros((cfg.n_coarse, 3))),
                 Tensor(np.zeros(cfg.feat_dim)),
-                Tensor(np.zeros((cfg.n_joints, 3))))
-    np.testing.assert_allclose(out.data, np.zeros((cfg.n_coarse, 3)), atol=1e-12)
+                Tensor(np.zeros((2, cfg.n_joints, 3))))
+    np.testing.assert_allclose(out.data, np.zeros((2, cfg.n_coarse, 3)), atol=1e-12)
 
 
 def test_weight_tied_blocks_match_on_identical_streams():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    pipe.hmo.load_state_dict(pipe.hpo.state_dict())
+    state = pipe.state_dict()
+    pipe.load_state_dict({k: state["hpo." + k[4:]] if k.startswith("hmo.") else v
+                          for k, v in state.items()})
     rng = np.random.default_rng(11)
     m = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
     tm = Tensor(rng.normal(size=cfg.feat_dim) * 0.2)
-    pose = Tensor(rng.normal(size=(cfg.n_joints, 3)) * 0.3)
-    np.testing.assert_array_equal(pipe.hpo(m, tm, pose).data,
-                                  pipe.hmo(m, tm, pose).data)
+    pose = rng.normal(size=(cfg.n_joints, 3)) * 0.3
+    out = pipe.blocks(m, tm, Tensor(np.stack([pose, pose]))).data
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_opt_block_matches_composition_reference():
-    # slow reference: re-compose the block from its own sub-layers one call
-    # at a time, mirroring the documented forward order. Every residual is
+    # slow reference: re-compose the batched block from its own sub-layers one
+    # call at a time, mirroring the documented forward order. Every residual is
     # mobius_add(block_output, residual); the addition does not commute, so
     # swapping any one of the four fails the match
     from hypermesh.manifold import expmap0, logmap0, mobius_add
 
     cfg = _small_cfg()
     scene = synth_generate(cfg)
-    block = build_pipeline(cfg, scene).hpo
+    block = build_pipeline(cfg, scene).blocks
     rng = np.random.default_rng(12)
     m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
     tm = Tensor(rng.normal(size=cfg.feat_dim) * 0.2)
-    pose = Tensor(rng.normal(size=(cfg.n_joints, 3)) * 0.3)
+    pose = Tensor(rng.normal(size=(2, cfg.n_joints, 3)) * 0.3)
     got = block(m_init, tm, pose).data
 
     p = block.params
