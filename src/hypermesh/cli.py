@@ -111,12 +111,12 @@ def _cmd_propcheck(args) -> int:
 def _cmd_export_mesh(args) -> int:
     from .train import predict
     cfg = PipelineConfig.load(args.config)
+    # a negative index would silently pick a frame from the end; the scene
+    # check makes the prediction's frame count cfg.t_frames
+    if not (0 <= args.frame < cfg.t_frames):
+        raise ConfigError(f"frame {args.frame} out of range [0, {cfg.t_frames})")
     scene = load_scene(args.scene) if args.scene else synth_generate(cfg)
-    fine = predict(cfg, args.checkpoint, scene)
-    # a negative index would silently pick a frame from the end
-    if not (0 <= args.frame < fine.shape[0]):
-        raise ConfigError(f"frame {args.frame} out of range [0, {fine.shape[0]})")
-    verts = fine[args.frame]
+    verts = predict(cfg, args.checkpoint, scene)[args.frame]
     export_obj(args.out, verts, scene.topology.faces)
     print(json.dumps({"obj": str(args.out), "vertices": int(verts.shape[0])}))
     return 0

@@ -139,6 +139,7 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     data, vjp = ball_clamp(num / den, p)
 
     def backward(g):
+        xd, yd = x.data, y.data
         g_num = vjp(g) / den
         g_den = -_rowdot(g_num, num) / den
         g_a = _rowdot(g_num, xd)
@@ -210,8 +211,8 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
     if (w.ndim not in (2, 3) or w.shape[-1] != x.shape[-1]
             or (w.ndim == 3 and (x.ndim < 3 or x.shape[-3] != w.shape[0]))):
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")
-    wd, xd = w.data, x.data
-    y = xd @ wd.mT
+    xd = x.data
+    y = xd @ w.data.mT
     nx = _smoothed_norm(xd, p)
     ny = _smoothed_norm(y, p)
     atx = _atanh(nx)
@@ -237,7 +238,7 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
             gw = rows(gy).mT @ rows(xd)
         if x.requires_grad:
             g_nx = g_u * r / (1.0 - nx * nx) - g_r * r / nx
-            gx = gy @ wd + (g_nx / nx) * xd
+            gx = gy @ w.data + (g_nx / nx) * xd
         return gw, gx
 
     return T._make(data, "mobius_matvec", (w, x), backward)

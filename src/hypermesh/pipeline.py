@@ -5,7 +5,9 @@ one attends to the frame's static 3D pose, the other to the pose motion
 codes. They are stored as one :class:`OptBlock` whose parameters carry a
 leading block axis, and run in one call on both streams; a checkpoint holds
 each block's slice under its own name (``hpo.*``, ``hmo.*``). Their outputs
-are summed and upsampled to the fine mesh with a fixed row-stochastic matrix.
+are summed over the block axis and upsampled to the fine mesh with a fixed
+row-stochastic matrix; the ablation runs the pose block alone, and the same
+sum passes its one slice through.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ class MeshTopology:
 
 @dataclass
 class MeshState:
-    """A vertex set tied to its topology."""
+    """A vertex set: the coarse or the fine mesh of every frame."""
 
     vertices: Tensor
-    topology: MeshTopology
 
 
 def export_obj(path: str | Path, vertices: np.ndarray, faces: np.ndarray) -> None:
@@ -131,29 +132,14 @@ class OptBlock(Module):
         return self.head(logmap0(m_ref, p))
 
 
-def fuse_and_upsample(m_p: MeshState, m_m: MeshState) -> tuple[MeshState, MeshState]:
-    """M_opt = M_p + M_m on the coarse mesh, M_out = U . M_opt on the fine
-    mesh; meshes may carry a leading frame axis."""
-    topo = m_p.topology
-    if m_m.topology is not topo and (
-            m_m.topology.n_coarse != topo.n_coarse or m_m.topology.n_fine != topo.n_fine):
-        raise TopologyError("fuse_and_upsample: mismatched topologies")
-    shape = m_p.vertices.shape
-    if shape[-2:] != (topo.n_coarse, 3) or m_m.vertices.shape != shape:
-        raise ShapeError("fuse_and_upsample expects coarse [..., n_coarse, 3] meshes")
-    m_opt = m_p.vertices + m_m.vertices
-    m_out = Tensor(topo.upsampler) @ m_opt
-    return MeshState(m_opt, topo), MeshState(m_out, topo)
-
-
-@dataclass
-class SequenceResult:
-    """Every frame's meshes, frame axis first: [T, n_coarse or n_fine, 3]."""
-
-    m_p: Tensor
-    m_m: Tensor
-    m_opt: MeshState
-    m_out: MeshState
+def fuse_and_upsample(m_blocks: Tensor, topology: MeshTopology) -> tuple[MeshState, MeshState]:
+    """M_opt = the blocks' coarse meshes [..., B, n_coarse, 3] summed over the
+    block axis, M_out = U . M_opt on the fine mesh."""
+    if m_blocks.ndim < 3 or m_blocks.shape[-2:] != (topology.n_coarse, 3):
+        raise ShapeError("fuse_and_upsample expects coarse [..., B, n_coarse, 3] meshes, "
+                         f"got {m_blocks.shape}")
+    m_opt = m_blocks.sum(axis=-3)
+    return MeshState(m_opt), MeshState(Tensor(topology.upsampler) @ m_opt)
 
 
 # checkpoint name of each block slice: 0 refines from the 3D pose, 1 from the pose motion
@@ -214,7 +200,8 @@ class MeshPipeline(Module):
             v.data = np.array([arrays[f"{b}.{k}"] for b in BLOCKS]).reshape(v.shape)
 
     def run_sequence(self, poses: Tensor, feats: Tensor,
-                     disable_hmo: bool = False) -> SequenceResult:
+                     disable_hmo: bool = False) -> tuple[MeshState, MeshState]:
+        """Every frame's fused coarse mesh [T, n_coarse, 3] and fine mesh [T, n_fine, 3]."""
         if poses.shape[0] != feats.shape[0]:
             raise ShapeError(
                 f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
@@ -229,8 +216,4 @@ class MeshPipeline(Module):
                               (t_frames, len(streams), 1, tm_pr.shape[1]))
         out = block(self.template, cond,
                     T.concat([s.reshape(t_frames, 1, n_joints, 3) for s in streams], axis=1))
-        m_p = out[:, 0]
-        m_m = Tensor(np.zeros_like(m_p.data)) if disable_hmo else out[:, 1]
-        m_opt, m_out = fuse_and_upsample(
-            MeshState(m_p, self.topology), MeshState(m_m, self.topology))
-        return SequenceResult(m_p=m_p, m_m=m_m, m_opt=m_opt, m_out=m_out)
+        return fuse_and_upsample(out, self.topology)

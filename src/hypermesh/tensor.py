@@ -7,6 +7,11 @@ closure; ``backward()`` on a size-1 output walks the tape in reverse topological
 order into the leaves (tensors made with ``requires_grad``, not by an op).
 A weight [B, out, in] of ``linear`` maps activations [..., B, n, in] with
 one slice per block, batched over a leading block axis.
+
+A tape holds activations, never a parameter's array: a backward closure reads
+an operand's values through its :class:`Tensor` when it runs, not through an
+array kept from the forward. ``SGD.step`` replaces every parameter's
+``.data``, and a tape kept past the step must not keep the old weights alive.
 """
 
 from __future__ import annotations
@@ -163,11 +168,6 @@ def div(a, b) -> Tensor:
                             if b.requires_grad else None))
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -193,7 +193,7 @@ def linear(x, w, b=None) -> Tensor:
     expressions of the composed transpose, matmul and add, bit for bit."""
     x, w = as_tensor(x), as_tensor(w)
     bias = () if b is None else (as_tensor(b),)
-    wt = w.data.mT  # not read by backward: a tape must not keep replaced weights alive
+    wt = w.data.mT
     data = x.data @ wt + bias[0].data if bias else x.data @ wt
 
     def backward(g):
@@ -220,16 +220,13 @@ def broadcast_to(a, shape) -> Tensor:
 
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
-    data = a.data[key]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data, dtype=np.float64)
 
     def backward(g):
         z = np.zeros(a.shape)
         np.add.at(z, key, g)  # repeated indices accumulate
         return (z,)
 
-    return _make(data, "slice", (a,), backward)
+    return _make(a.data[key], "slice", (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -263,12 +260,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
+    count = a.size if axis is None else a.shape[axis]
     return tsum(a, axis, keepdims) * (1.0 / count)
 
 
@@ -279,7 +271,7 @@ Tensor.__add__, Tensor.__radd__ = add, lambda a, b: add(b, a)
 Tensor.__sub__, Tensor.__rsub__ = sub, lambda a, b: sub(b, a)
 Tensor.__mul__, Tensor.__rmul__ = mul, lambda a, b: mul(b, a)
 Tensor.__truediv__, Tensor.__rtruediv__ = div, lambda a, b: div(b, a)
-Tensor.__neg__, Tensor.__matmul__, Tensor.__getitem__ = neg, matmul, getitem
+Tensor.__matmul__, Tensor.__getitem__ = matmul, getitem
 Tensor.reshape, Tensor.sum, Tensor.mean = reshape, tsum, tmean
 
 

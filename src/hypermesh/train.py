@@ -1,6 +1,7 @@
 """Toy training harness: full-batch gradient descent on one synthetic scene,
 with ball re-projection after every parameter update, loss-curve CSV, and
-bit-exact checkpointing."""
+bit-exact checkpointing. The loss and the predictions read the pair that
+``MeshPipeline.run_sequence`` returns: the fused coarse mesh and the fine mesh."""
 
 from __future__ import annotations
 
@@ -67,13 +68,12 @@ def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
 def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfig,
                disable_hmo: bool = False) -> Tensor:
     """Mean over frames of the full weighted loss against the scene's ground truth."""
-    result = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                   disable_hmo=disable_hmo)
+    m_opt, m_out = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                         disable_hmo=disable_hmo)
     gt_fine = Tensor(scene.fine_meshes)
-    eu = euclidean_losses(result.m_out.vertices, gt_fine,
-                          result.m_opt.vertices, Tensor(scene.coarse_meshes),
-                          scene.regressor, scene.topology)
-    hy = hyperbolic_mesh_loss(result.m_out.vertices, gt_fine, cfg.ball_params())
+    eu = euclidean_losses(m_out.vertices, gt_fine, m_opt.vertices,
+                          Tensor(scene.coarse_meshes), scene.regressor, scene.topology)
+    hy = hyperbolic_mesh_loss(m_out.vertices, gt_fine, cfg.ball_params())
     return total_loss(eu, hy, cfg)
 
 
@@ -154,8 +154,9 @@ def predict(cfg: PipelineConfig, checkpoint_manifest: str | Path,
     # nothing here runs backward: untracked parameters keep the tape empty
     for param in pipeline.parameters():
         param.requires_grad = False
-    return pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                                 disable_hmo=cfg.disable_hmo).m_out.vertices.data
+    _, m_out = pipeline.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
+                                     disable_hmo=cfg.disable_hmo)
+    return m_out.vertices.data
 
 
 def evaluate(cfg: PipelineConfig, checkpoint_manifest: str | Path,

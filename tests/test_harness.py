@@ -286,8 +286,20 @@ def test_train_checkpoint_reproduces_forward(tmp_path):
     result = train_toy(cfg, scene=scene, out_dir=tmp_path / "run")
     pipe = build_pipeline(cfg, scene)
     pipe.load_state_dict(load_checkpoint(result.checkpoint_path))
-    out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert np.all(np.isfinite(out.m_out.vertices.data))
+    _, m_out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert np.all(np.isfinite(m_out.vertices.data))
+
+
+def test_train_with_zero_steps_writes_one_loss_and_the_initial_state(tmp_path):
+    cfg = _small_cfg(steps=0)
+    scene = synth_generate(cfg)
+    result = train_toy(cfg, scene=scene, out_dir=tmp_path / "run")
+    lines = result.loss_curve_path.read_text().splitlines()
+    assert lines[0] == "step,loss" and len(lines) == 2 and len(result.losses) == 1
+    initial = build_pipeline(cfg, scene).state_dict()
+    saved = load_checkpoint(result.checkpoint_path)
+    assert sorted(saved) == sorted(initial)
+    assert all(saved[k].tobytes() == v.tobytes() for k, v in initial.items())
 
 
 def test_sgd_step_clamps_ball_rows_onto_the_shell():
@@ -340,9 +352,9 @@ def test_evaluate_records_no_tape(tmp_path, monkeypatch):
     # the report the same forward writes with trainable parameters
     pipe = build_pipeline(cfg, scene)
     pipe.load_state_dict(load_checkpoint(manifest))
-    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert result.m_out.vertices.requires_grad
-    fine = result.m_out.vertices.data
+    _, m_out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert m_out.vertices.requires_grad
+    fine = m_out.vertices.data
     joints = np.einsum("jf,tfx->tjx", scene.regressor.matrix, fine)
     write_metric_report(tmp_path / "taped.csv", joints, scene.poses, fine,
                         scene.fine_meshes, root_idx=cfg.root_joint)
@@ -580,6 +592,19 @@ def test_cli_export_mesh_frame_out_of_range_exit_code(tmp_path, capsys, frame):
     ckpt = save_checkpoint(tmp_path / "ckpt",
                            build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
     assert main(["export-mesh", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--frame", str(frame), "--out", str(tmp_path / "frame.obj")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "frame" in err["message"]
+    assert not (tmp_path / "frame.obj").exists()
+
+
+@pytest.mark.parametrize("frame", [-1, SMALL["t_frames"]], ids=["negative", "past_end"])
+def test_cli_export_mesh_refuses_a_bad_frame_before_reading_anything(tmp_path, capsys, frame):
+    # neither the checkpoint nor the scene exists: the frame is refused first
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["export-mesh", "--config", str(cfg_path),
+                 "--checkpoint", str(tmp_path / "missing" / "manifest.json"),
+                 "--scene", str(tmp_path / "no_scene"),
                  "--frame", str(frame), "--out", str(tmp_path / "frame.obj")]) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config" and "frame" in err["message"]

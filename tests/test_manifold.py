@@ -5,7 +5,7 @@ import pytest
 
 from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               check_matvec_formulations, check_noncommutativity,
-                              random_ball_points)
+                              np_mobius_add, random_ball_points)
 from hypermesh.errors import ContractError, NumericError, ShapeError
 from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0,
                                 mobius_add, mobius_matvec, project_to_ball)
@@ -19,6 +19,25 @@ def test_ball_params_validation():
         BallParams(eps_ball=0.5)
     with pytest.raises(ContractError):
         BallParams(eps_ball=1e-5, eps_norm=1e-4)
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, BallParams(eps_ball=1e-4, eps_norm=1e-7)],
+                         ids=["wide", "narrow"])
+def test_np_mobius_add_matches_mobius_add_row_by_row(params):
+    # the loop reference of the eval_long benchmark check; the last rows add
+    # near-parallel points close to the boundary, whose sum lands past the shell
+    rng = np.random.default_rng(15)
+    x = random_ball_points(rng, (64, 5))
+    y = random_ball_points(rng, (64, 5))
+    u = random_ball_points(rng, (16, 5), 1.0, 1.0)
+    x[48:] = u * 0.999
+    y[48:] = (u + rng.normal(size=u.shape) * 1e-3) * 0.998
+    shell = 1.0 - params.eps_ball
+    raw = mobius_add(Tensor(x), Tensor(y), BallParams(eps_ball=1e-9, eps_norm=1e-12)).data
+    assert (np.linalg.norm(raw, axis=-1) > shell).sum() >= 8
+    got = mobius_add(Tensor(x), Tensor(y), params).data
+    for i in range(len(x)):
+        np.testing.assert_allclose(got[i], np_mobius_add(x[i], y[i], params), rtol=0, atol=1e-12)
 
 
 def test_mobius_add_identity():

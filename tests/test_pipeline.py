@@ -5,8 +5,7 @@ from hypermesh import tensor as T
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError, TopologyError
 from hypermesh.module import Module
-from hypermesh.pipeline import (BLOCKS, MeshState, MeshTopology, OptBlock, export_obj,
-                                fuse_and_upsample)
+from hypermesh.pipeline import BLOCKS, MeshTopology, OptBlock, export_obj, fuse_and_upsample
 from hypermesh.synth import build_toy_topology, fibonacci_sphere, synth_generate
 from hypermesh.temporal import TemporalPriorExtractor
 from hypermesh.tensor import Tensor
@@ -72,18 +71,30 @@ def test_fuse_and_upsample_linear():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(4, 3))
-    m_opt, m_out = fuse_and_upsample(MeshState(Tensor(a), topo),
-                                     MeshState(Tensor(b), topo))
+    m_opt, m_out = fuse_and_upsample(Tensor(np.stack([a, b])), topo)
     np.testing.assert_allclose(m_opt.vertices.data, a + b, atol=1e-15)
     np.testing.assert_allclose(m_out.vertices.data,
                                topo.upsampler @ (a + b), atol=1e-15)
 
 
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_fuse_and_upsample_sums_the_block_axis_bit_for_bit(n_blocks):
+    # one block's mesh passes through unchanged; two give slice 0 + slice 1
+    topo = _topology()
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        a = rng.normal(size=(5, n_blocks, topo.n_coarse, 3)) * 10.0 ** rng.integers(-3, 4)
+        m_opt, m_out = fuse_and_upsample(Tensor(a), topo)
+        want = a[:, 0] if n_blocks == 1 else a[:, 0] + a[:, 1]
+        assert m_opt.vertices.data.tobytes() == want.tobytes()
+        assert m_out.vertices.data.tobytes() == (topo.upsampler @ want).tobytes()
+
+
 def test_fuse_and_upsample_shape_error():
     topo = _topology()
-    with pytest.raises(ShapeError):
-        fuse_and_upsample(MeshState(Tensor(np.zeros((3, 3))), topo),
-                          MeshState(Tensor(np.zeros((4, 3))), topo))
+    for shape in ((2, 3, 3), (4, 3), (2, 4, 2)):  # wrong n_coarse, no block axis, 2 coordinates
+        with pytest.raises(ShapeError):
+            fuse_and_upsample(Tensor(np.zeros(shape)), topo)
 
 
 def test_export_obj_format(tmp_path):
@@ -99,11 +110,9 @@ def test_pipeline_shapes_and_ball_invariant(ball_norms):
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert result.m_p.shape == (cfg.t_frames, cfg.n_coarse, 3)
-    assert result.m_m.shape == (cfg.t_frames, cfg.n_coarse, 3)
-    assert result.m_opt.vertices.shape == (cfg.t_frames, cfg.n_coarse, 3)
-    assert result.m_out.vertices.shape == (cfg.t_frames, cfg.n_fine, 3)
+    m_opt, m_out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert m_opt.vertices.shape == (cfg.t_frames, cfg.n_coarse, 3)
+    assert m_out.vertices.shape == (cfg.t_frames, cfg.n_fine, 3)
     assert not ball_norms.exceeds(cfg.ball_params())
 
 
@@ -127,12 +136,14 @@ def test_disable_hmo_zeroes_motion_branch():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats),
-                               disable_hmo=True)
-    np.testing.assert_array_equal(result.m_m.data,
-                                  np.zeros((cfg.t_frames, cfg.n_coarse, 3)))
-    np.testing.assert_allclose(result.m_opt.vertices.data,
-                               result.m_p.data, atol=1e-15)
+    poses = Tensor(scene.poses)
+    m_opt, m_out = pipe.run_sequence(poses, Tensor(scene.feats), disable_hmo=True)
+    # the fused mesh is the pose block's output alone, bit for bit
+    tm_pr, _ = pipe.prior(poses, Tensor(scene.feats))
+    m_p = pipe.blocks(pipe.template, tm_pr.reshape(cfg.t_frames, 1, 1, cfg.feat_dim),
+                      _streams(scene.poses, scene.poses)).data[:, 0]
+    assert m_opt.vertices.data.tobytes() == m_p.tobytes()
+    assert m_out.vertices.data.tobytes() == (scene.topology.upsampler @ m_p).tobytes()
 
 
 def test_batched_frames_match_single_frame_calls():
@@ -140,14 +151,15 @@ def test_batched_frames_match_single_frame_calls():
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
     poses = Tensor(scene.poses)
-    result = pipe.run_sequence(poses, Tensor(scene.feats))
+    m_opt, _ = pipe.run_sequence(poses, Tensor(scene.feats))
     tm_pr, p_motion = pipe.prior(poses, Tensor(scene.feats))
     cond = tm_pr.reshape(cfg.t_frames, 1, 1, cfg.feat_dim)
     streams = _streams(scene.poses, p_motion.data)
+    batched = pipe.blocks(pipe.template, cond, streams).data
     for t in range(cfg.t_frames):
-        out = pipe.blocks(pipe.template, cond[t:t + 1], streams[t:t + 1])
-        assert np.array_equal(out.data[:, 0], result.m_p.data[t:t + 1])
-        assert np.array_equal(out.data[:, 1], result.m_m.data[t:t + 1])
+        out = pipe.blocks(pipe.template, cond[t:t + 1], streams[t:t + 1]).data
+        assert out.tobytes() == batched[t:t + 1].tobytes()
+        assert m_opt.vertices.data[t].tobytes() == (out[0, 0] + out[0, 1]).tobytes()
 
 
 def test_frame_outputs_depend_only_on_their_frame():
@@ -180,8 +192,8 @@ def test_opt_block_called_once_per_sequence(monkeypatch, t_frames):
     cfg = _small_cfg(t_frames=t_frames)
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    result = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert result.m_out.vertices.shape == (t_frames, cfg.n_fine, 3)
+    _, m_out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert m_out.vertices.shape == (t_frames, cfg.n_fine, 3)
     assert calls == [pipe.blocks]
 
 
@@ -257,12 +269,12 @@ def test_ablation_leaves_the_motion_slice_untouched():
 def test_pipeline_forward_determinism():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
-    out1 = build_pipeline(cfg, scene).run_sequence(
+    _, out1 = build_pipeline(cfg, scene).run_sequence(
         Tensor(scene.poses), Tensor(scene.feats))
-    out2 = build_pipeline(cfg, scene).run_sequence(
+    _, out2 = build_pipeline(cfg, scene).run_sequence(
         Tensor(scene.poses), Tensor(scene.feats))
-    assert out1.m_out.vertices.shape[0] == cfg.t_frames
-    assert np.array_equal(out1.m_out.vertices.data, out2.m_out.vertices.data)
+    assert out1.vertices.shape[0] == cfg.t_frames
+    assert np.array_equal(out1.vertices.data, out2.vertices.data)
 
 
 def test_pipeline_state_dict_roundtrip():
@@ -272,9 +284,9 @@ def test_pipeline_state_dict_roundtrip():
     state = pipe.state_dict()
     pipe2 = build_pipeline(_small_cfg(seed=5), scene)
     pipe2.load_state_dict(state)
-    a = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    b = pipe2.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
-    assert np.array_equal(a.m_out.vertices.data, b.m_out.vertices.data)
+    _, a = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    _, b = pipe2.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
+    assert np.array_equal(a.vertices.data, b.vertices.data)
 
 
 def test_pipeline_state_dict_strictness():
@@ -372,13 +384,9 @@ def test_fusion_linearity():
     topo = _topology()
     rng = np.random.default_rng(13)
     a, b, c = (rng.normal(size=(4, 3)) for _ in range(3))
-    zero = np.zeros((4, 3))
-    lhs = (fuse_and_upsample(MeshState(Tensor(a), topo),
-                             MeshState(Tensor(b), topo))[0].vertices.data
-           + fuse_and_upsample(MeshState(Tensor(c), topo),
-                               MeshState(Tensor(zero), topo))[0].vertices.data)
-    rhs = fuse_and_upsample(MeshState(Tensor(a + c), topo),
-                            MeshState(Tensor(b), topo))[0].vertices.data
+    lhs = (fuse_and_upsample(Tensor(np.stack([a, b])), topo)[1].vertices.data
+           + fuse_and_upsample(Tensor(c[None]), topo)[1].vertices.data)
+    rhs = fuse_and_upsample(Tensor(np.stack([a + c, b])), topo)[1].vertices.data
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -256,7 +256,7 @@ def _taped_ops(t_frames: int) -> list[str]:
 
 def test_training_tape_has_one_node_per_affine_map_and_attention_call():
     ops = _taped_ops(4)
-    assert len(ops) == 267 and len(_taped_ops(32)) == 1219
+    assert len(ops) == 265 and len(_taped_ops(32)) == 1217
     assert "transpose" not in ops and "softmax" not in ops and "sqrt" not in ops
     # one per HyperAdaLN: 3 in the one batched OptBlock call
     assert ops.count("normalize") == 3
@@ -267,6 +267,40 @@ def test_training_tape_has_one_node_per_affine_map_and_attention_call():
     assert ops.count("linear") == 10 + 2 + 4 + 6 * 8
     # the fixed upsampler and joint regressor
     assert ops.count("matmul") == 2
+    # the losses' four vertex gathers: the blocks' output is summed, not sliced
+    assert ops.count("slice") == 4
+
+
+def _closure_arrays(fn, seen=None):
+    """Every ndarray a backward closure holds, through nested closures."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen or not getattr(fn, "__closure__", None):
+        return []
+    seen.add(id(fn))
+    found = []
+    for cell in fn.__closure__:
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found.extend(_closure_arrays(value, seen))
+    return found
+
+
+def test_tape_keeps_no_replaced_parameter_array_alive():
+    # SGD.step replaces every parameter's .data; a tape kept past the step must
+    # not hold the old arrays, or the views of them, in any backward closure
+    cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
+                         n_coarse=6, n_fine=10, steps=0)
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    loss = scene_loss(pipe, scene, cfg)
+    old = [p.data for p in pipe.parameters()]
+    for p in pipe.parameters():
+        p.data = p.data.copy()
+    held = [a for n in T.tape_order(loss) if n._backward for a in _closure_arrays(n._backward)]
+    assert held
+    assert not [a.shape for a in held for o in old if np.shares_memory(a, o)]
 
 
 def test_scene_loss_backward_keeps_grads_only_on_parameters():
