@@ -19,7 +19,11 @@ Conventions:
   one call;
 - zero-norm singularities are removed with a smoothed norm
   sqrt(||x||^2 + eps_norm^2), whose limit at the origin matches the
-  removable-singular limit of the exact formulas.
+  removable-singular limit of the exact formulas;
+- every row reduction (norms and inner products) is one ``np.vecdot`` over
+  C-contiguous rows, and :func:`mobius_matvec` multiplies C-contiguous rows,
+  so a row's bits depend neither on its batch position nor on the memory
+  layout of the operands.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ DEFAULT_PARAMS = POLICIES["wide"]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=-1, keepdims=True)
+    return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))[..., None]
 
 
 def _smoothed_norm(x: np.ndarray, p: BallParams) -> np.ndarray:
@@ -88,12 +92,15 @@ def ball_clamp(z: np.ndarray, p: BallParams = DEFAULT_PARAMS
     re-projection. Returns the clamped array and its vector-Jacobian
     product: the identity on rows left inside, the radial-projection
     Jacobian (1 - eps_ball) / ||z|| (I - u u^T), u = z / ||z||, on rescaled
-    rows. When no row is rescaled, ``z`` itself is returned.
+    rows. When no row is rescaled, ``z`` itself is returned. A row holding
+    NaN/Inf, or a finite row whose squared norm overflows (norm above about
+    1.3e154), raises :class:`NumericError`.
     """
-    if not np.all(np.isfinite(z)):
-        raise NumericError("ball clamp: input contains NaN/Inf")
-    max_norm = 1.0 - p.eps_ball
     norms = np.sqrt(_rowdot(z, z))
+    if not np.isfinite(norms).all():
+        raise NumericError("ball clamp: input contains NaN/Inf, "
+                           "or a row whose squared norm overflows")
+    max_norm = 1.0 - p.eps_ball
     outside = norms > max_norm
     if not outside.any():
         return z, _identity
@@ -211,7 +218,7 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
     if (w.ndim not in (2, 3) or w.shape[-1] != x.shape[-1]
             or (w.ndim == 3 and (x.ndim < 3 or x.shape[-3] != w.shape[0]))):
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")
-    xd = x.data
+    xd = np.ascontiguousarray(x.data)
     y = xd @ w.data.mT
     nx = _smoothed_norm(xd, p)
     ny = _smoothed_norm(y, p)

@@ -7,8 +7,6 @@ stable across runs (``MeshPipeline`` writes and reads them).
 
 from __future__ import annotations
 
-import copy
-
 from .tensor import Tensor
 
 
@@ -36,15 +34,6 @@ class Module:
             value = getattr(self, name)
             if isinstance(value, Module):
                 out.extend(value.ball_parameters())
-        return out
-
-    def __getitem__(self, key) -> "Module":
-        """A shallow copy whose tensors are their ``key`` slices, on the tape: of
-        parameters stacked on a leading block axis, ``[:1]`` keeps the first block."""
-        out = copy.copy(self)
-        for name, value in vars(self).items():
-            if isinstance(value, (Tensor, Module)):
-                setattr(out, name, value[key])
         return out
 
     def zero_grad(self) -> None:

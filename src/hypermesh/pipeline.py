@@ -6,8 +6,8 @@ codes. They are stored as one :class:`OptBlock` whose parameters carry a
 leading block axis, and run in one call on both streams; a checkpoint holds
 each block's slice under its own name (``hpo.*``, ``hmo.*``). Their outputs
 are summed over the block axis and upsampled to the fine mesh with a fixed
-row-stochastic matrix; the ablation runs the pose block alone, and the same
-sum passes its one slice through.
+row-stochastic matrix; the ablation runs both blocks and masks the motion
+block's output with 0 before that sum.
 """
 
 from __future__ import annotations
@@ -207,13 +207,12 @@ class MeshPipeline(Module):
                 f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
         tm_pr, p_motion = self.prior(poses, feats)
         t_frames, n_joints = poses.shape[:2]
-        # the ablation runs the pose block's slice alone; the motion slice's gradient is 0
-        streams = [poses] if disable_hmo else [poses, p_motion]
-        block = self.blocks[:1] if disable_hmo else self.blocks
         # cond [T, B, 1, D_f]: each block sums its own gradient terms, as a lone
         # block does, before the blocks' sums are added
         cond = T.broadcast_to(tm_pr.reshape(t_frames, 1, 1, tm_pr.shape[1]),
-                              (t_frames, len(streams), 1, tm_pr.shape[1]))
-        out = block(self.template, cond,
-                    T.concat([s.reshape(t_frames, 1, n_joints, 3) for s in streams], axis=1))
+                              (t_frames, len(BLOCKS), 1, tm_pr.shape[1]))
+        out = self.blocks(self.template, cond, T.concat(
+            [s.reshape(t_frames, 1, n_joints, 3) for s in (poses, p_motion)], axis=1))
+        if disable_hmo:  # x * 1 + x' * 0 is x exactly; the motion slice's gradient is 0
+            out = out * Tensor(np.array([1.0, 0.0]).reshape(len(BLOCKS), 1, 1))
         return fuse_and_upsample(out, self.topology)

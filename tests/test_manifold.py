@@ -7,7 +7,7 @@ from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               check_matvec_formulations, check_noncommutativity,
                               np_mobius_add, random_ball_points)
 from hypermesh.errors import ContractError, NumericError, ShapeError
-from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0,
+from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, ball_clamp, expmap0, logmap0,
                                 mobius_add, mobius_matvec, project_to_ball)
 from hypermesh.tensor import Tensor
 
@@ -116,6 +116,71 @@ def test_project_to_ball_cases():
 def test_project_to_ball_rejects_nonfinite():
     with pytest.raises(NumericError):
         project_to_ball(Tensor([np.nan, 0.0]))
+
+
+def test_ball_clamp_raises_on_nonfinite_and_overflowing_rows():
+    inside = [0.1, 0.2]
+    for bad, match in (([np.nan, 0.0], "NaN/Inf"), ([0.0, np.inf], "NaN/Inf"),
+                       ([1e200, 1e199], "overflows")):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=match):
+            ball_clamp(np.array([inside, bad]))
+    # rows inside the shell and on it are returned unchanged
+    shell = 1.0 - DEFAULT_PARAMS.eps_ball
+    z = np.array([inside, [shell, 0.0], [0.0, -shell], [0.0, 0.0]])
+    out, _ = ball_clamp(z)
+    assert out.tobytes() == z.tobytes()
+
+
+def _strided(a):
+    """The same values with a strided last axis."""
+    return np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)
+
+
+def _layout_cases():
+    """Op, its operands, and the indices of the operands that carry the rows.
+
+    Width 32 is wide enough that a dot over a strided row sums in another
+    order than one over a contiguous row. mobius_matvec's rows are those of
+    one leading slice: a lone row would take BLAS's matrix-vector kernel.
+    """
+    rng = np.random.default_rng(16)
+    n = 32
+    x, y = random_ball_points(rng, (6, n)), random_ball_points(rng, (6, n))
+    clamped = random_ball_points(rng, (6, n))
+    clamped[2] *= 3.0 / np.linalg.norm(clamped[2])
+    return {
+        "mobius_add": (mobius_add, [x, y], (0, 1)),
+        "mobius_add_bias": (mobius_add, [x, random_ball_points(rng, (1, n))], (0,)),
+        "mobius_matvec": (mobius_matvec, [rng.normal(size=(8, n)) * 0.2,
+                                          random_ball_points(rng, (3, 4, n))], (1,)),
+        "mobius_matvec_blocks": (mobius_matvec, [rng.normal(size=(2, 8, n)) * 0.2,
+                                                 random_ball_points(rng, (3, 2, 5, n))], (1,)),
+        "expmap0": (expmap0, [rng.normal(size=(6, n)) * 0.3], (0,)),
+        "logmap0": (logmap0, [x], (0,)),
+        "project_to_ball": (project_to_ball, [clamped], (0,)),
+    }
+
+
+def _bytes_of_op(op, arrays):
+    """The output's bytes and every operand gradient's, under a fixed probe."""
+    args = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*args)
+    (out * Tensor(np.random.default_rng(3).normal(size=out.shape))).sum().backward()
+    return [out.data.tobytes()] + [a.grad.tobytes() for a in args]
+
+
+@pytest.mark.parametrize("case", list(_layout_cases()))
+def test_ball_op_bits_do_not_depend_on_layout_or_batch_position(case):
+    op, arrays, row_args = _layout_cases()[case]
+    if op is project_to_ball:
+        assert (np.linalg.norm(arrays[0], axis=-1) > 1.0 - DEFAULT_PARAMS.eps_ball).sum() == 1
+    strided = [_strided(a) if i in row_args else a for i, a in enumerate(arrays)]
+    assert not any(strided[i].flags.c_contiguous for i in row_args)
+    assert _bytes_of_op(op, strided) == _bytes_of_op(op, arrays)
+    out = op(*[Tensor(a) for a in arrays]).data
+    for r in range(len(arrays[row_args[0]])):
+        alone = op(*[Tensor(a[r:r + 1] if i in row_args else a) for i, a in enumerate(arrays)])
+        assert alone.data.tobytes() == out[r:r + 1].tobytes(), r
 
 
 def test_fused_ops_reject_nonfinite_and_atanh_domain():

@@ -287,19 +287,35 @@ def _closure_arrays(fn, seen=None):
     return found
 
 
-def test_tape_keeps_no_replaced_parameter_array_alive():
-    # SGD.step replaces every parameter's .data; a tape kept past the step must
-    # not hold the old arrays, or the views of them, in any backward closure
+def _tape_after_replacing_parameters(disable_hmo: bool):
+    """The tape of one small scene_loss, and the parameter arrays that every
+    parameter's .data was replaced from after it."""
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
                          n_coarse=6, n_fine=10, steps=0)
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
-    loss = scene_loss(pipe, scene, cfg)
+    loss = scene_loss(pipe, scene, cfg, disable_hmo=disable_hmo)
     old = [p.data for p in pipe.parameters()]
     for p in pipe.parameters():
         p.data = p.data.copy()
-    held = [a for n in T.tape_order(loss) if n._backward for a in _closure_arrays(n._backward)]
+    return T.tape_order(loss), old
+
+
+def test_tape_keeps_no_replaced_parameter_array_alive():
+    # SGD.step replaces every parameter's .data; a tape kept past the step must
+    # not hold the old arrays, or the views of them, in any backward closure
+    nodes, old = _tape_after_replacing_parameters(disable_hmo=False)
+    held = [a for n in nodes if n._backward for a in _closure_arrays(n._backward)]
     assert held
+    assert not [a.shape for a in held for o in old if np.shares_memory(a, o)]
+
+
+def test_ablated_tape_holds_no_view_of_a_parameter():
+    # the ablation masks the motion block's output instead of slicing the
+    # parameters, so no node's array or backward closure is a view of one
+    nodes, old = _tape_after_replacing_parameters(disable_hmo=True)
+    held = [n.data for n in nodes] + [a for n in nodes if n._backward
+                                      for a in _closure_arrays(n._backward)]
     assert not [a.shape for a in held for o in old if np.shares_memory(a, o)]
 
 
