@@ -1,22 +1,26 @@
 """Paired benchmark runs of a parent revision against this checkout.
 
 The parent's committed files are exported (``git archive``) into a temporary
-directory, which is removed at the end. Pair ``i`` runs ``bench/run.py
---trace 0`` once in each tree, on seed ``seed + i``, for every workload; the
-side that runs first alternates from pair to pair, so that a drift of the
-host's speed falls on both sides alike. Each tree runs its own ``bench/``.
+directory, which is removed at the end. Pair ``i`` (from 0) runs
+``bench/run.py --trace 0`` once in each tree, on seed ``1 + i``, for every
+workload; the side that runs first alternates from pair to pair, so that a
+drift of the host's speed falls on both sides alike. Each tree runs its own
+``bench/``.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout. Per workload and
 end-to-end metric of ``BENCHMARK.json`` it holds the parent's and the
 change's median and quartiles, the change's wins (pairs in which it is
 better), the relative change of the medians, the metric's bound, and whether
-the claim rule below holds; then every run's raw result, both revisions and
-the host's CPU count.
+the claim rule below holds; then every run's raw result and the host's CPU
+count. Each side's revision is its commit and the git tree hashes of the
+``src`` and ``bench`` it ran; for this checkout those hash the files as they
+are on disk, uncommitted edits included, so ``git rev-parse REV:src`` tells
+whether a commit holds the measured code.
 
 Usage::
 
     python tools/pairs.py --parent REV --label NAME [--workloads W ...]
-                          [--pairs N] [--seconds S] [--seed K]
+                          [--pairs N] [--seconds S]
 
 ``--pairs`` defaults to 10 and ``--seconds`` to the benchmark's run length.
 
@@ -33,8 +37,8 @@ import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,10 +54,18 @@ def git(*args: str) -> str:
 
 def export(rev: str, dest: Path) -> None:
     """The committed files of ``rev`` under ``dest``."""
-    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    archive = subprocess.run(["git", "archive", "--format=zip", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as files:
+        files.extractall(dest)
+
+
+def revision(rev: str | None) -> dict:
+    """The commit of ``rev`` and the tree hashes of its ``src`` and ``bench``;
+    ``None`` is this checkout, hashed as it is on disk."""
+    commit = git("rev-parse", rev or "HEAD")
+    snapshot = rev or git("stash", "create") or commit
+    return {"commit": commit, **{d: git("rev-parse", f"{snapshot}:{d}") for d in ("src", "bench")}}
 
 
 def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -95,22 +107,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
 
-    revisions = {"parent": git("rev-parse", args.parent),
-                 "change": git("rev-parse", "HEAD"),
-                 "change_has_uncommitted_edits": bool(git("status", "--porcelain",
-                                                          "--untracked-files=no"))}
+    revisions = {"parent": revision(args.parent), "change": revision(None)}
     runs: dict[str, list[dict]] = {w: [] for w in args.workloads}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
-        export(revisions["parent"], parent_root)
+        export(revisions["parent"]["commit"], parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         for i in range(args.pairs):
-            seed = args.seed + i
+            seed = 1 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in args.workloads:
                 pair = {"seed": seed, "first": order[0]}
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
                for w, pairs in runs.items() if not any(w == bad[0] for bad in incorrect)}
     report = {"label": args.label, "revisions": revisions, "cpu_count": os.cpu_count(),
               "protocol": {"pairs": args.pairs, "seconds": args.seconds,
-                           "seeds": [args.seed, args.seed + args.pairs - 1],
+                           "seeds": [1, args.pairs],
                            "command": "bench/run.py --trace 0", "claim_rule": CLAIM_RULE},
               "metrics": metrics, "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
