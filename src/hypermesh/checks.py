@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .gradcheck import GradcheckReport, gradcheck
-from .layers import (EuclideanAttention, HyperAdaLN, HyperAttention, HyperbolicLinear,
-                     HyperFFN, attention, hyper_gelu)
+from .layers import (AttentionWeights, EuclideanAttention, HyperAdaLN, HyperAttention,
+                     HyperbolicLinear, HyperFFN, attention, hyper_gelu)
 from .manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add,
                        mobius_matvec, project_to_ball)
 from .temporal import GruCell, PoseMotionExtractor
@@ -96,52 +96,42 @@ def gru_loop_oracle(cell: GruCell, x: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def hyper_attention_oracle(att: HyperAttention, q_src: np.ndarray,
-                           k_src: np.ndarray) -> np.ndarray:
-    """Brute-force hyperbolic attention with explicit i, j, head loops."""
-    p = att.params
+def _loop_attention(att: AttentionWeights, q: np.ndarray, k: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Rows W_O ctx_i of multi-head attention of rows q over rows k, v, with
+    explicit i, j, head loops."""
     heads, d = att.heads, att.dim
     hd = d // heads
-    lq = np.stack([np_logmap0(np_mobius_matvec(att.w_q.data, q, p), p) for q in q_src])
-    lk = np.stack([np_logmap0(np_mobius_matvec(att.w_k.data, k, p), p) for k in k_src])
-    lv = np.stack([np_logmap0(np_mobius_matvec(att.w_v.data, k, p), p) for k in k_src])
-    out = np.zeros((q_src.shape[0], d))
-    for i in range(q_src.shape[0]):
-        ctx = np.zeros(d)
-        for h in range(heads):
-            sl = slice(h * hd, (h + 1) * hd)
-            scores = np.array([float(lq[i, sl] @ lk[j, sl]) / math.sqrt(hd)
-                               for j in range(k_src.shape[0])])
-            scores -= scores.max()
-            alpha = np.exp(scores)
-            alpha /= alpha.sum()
-            for j in range(k_src.shape[0]):
-                ctx[sl] += alpha[j] * lv[j, sl]
-        out[i] = np_expmap0(att.w_o.data @ ctx, p)
-    return out
-
-
-def euclidean_attention_oracle(att: EuclideanAttention,
-                               x: np.ndarray) -> np.ndarray:
-    heads, d = att.heads, att.dim
-    hd = d // heads
-    q = x @ att.w_q.data.T
-    k = x @ att.w_k.data.T
-    v = x @ att.w_v.data.T
-    out = np.zeros_like(x)
-    for i in range(x.shape[0]):
+    out = np.zeros((q.shape[0], d))
+    for i in range(q.shape[0]):
         ctx = np.zeros(d)
         for h in range(heads):
             sl = slice(h * hd, (h + 1) * hd)
             scores = np.array([float(q[i, sl] @ k[j, sl]) / math.sqrt(hd)
-                               for j in range(x.shape[0])])
+                               for j in range(k.shape[0])])
             scores -= scores.max()
             alpha = np.exp(scores)
             alpha /= alpha.sum()
-            for j in range(x.shape[0]):
+            for j in range(k.shape[0]):
                 ctx[sl] += alpha[j] * v[j, sl]
         out[i] = att.w_o.data @ ctx
     return out
+
+
+def hyper_attention_oracle(att: HyperAttention, q_src: np.ndarray,
+                           k_src: np.ndarray) -> np.ndarray:
+    """Brute-force hyperbolic attention: per-row Möbius Q/K/V and expmap0."""
+    p = att.params
+    lq = np.stack([np_logmap0(np_mobius_matvec(att.w_q.data, q, p), p) for q in q_src])
+    lk = np.stack([np_logmap0(np_mobius_matvec(att.w_k.data, k, p), p) for k in k_src])
+    lv = np.stack([np_logmap0(np_mobius_matvec(att.w_v.data, k, p), p) for k in k_src])
+    return np.stack([np_expmap0(y, p) for y in _loop_attention(att, lq, lk, lv)])
+
+
+def euclidean_attention_oracle(att: EuclideanAttention,
+                               x: np.ndarray) -> np.ndarray:
+    return _loop_attention(att, x @ att.w_q.data.T, x @ att.w_k.data.T,
+                           x @ att.w_v.data.T)
 
 
 def adaln_oracle(layer: HyperAdaLN, x: np.ndarray, cond: np.ndarray) -> np.ndarray:

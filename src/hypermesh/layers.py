@@ -104,18 +104,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return a.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    scores = (qh @ kh.mT) * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g):  # each product takes the operand layouts of the composed ops
+    def backward(g):
         gc = split(g)
-        gp = gc @ np.swapaxes(vh, -1, -2)
+        gp = gc @ vh.mT
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
         return (merge(gs @ kh, q.shape) if q.requires_grad else None,
-                merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), k.shape)
-                if k.requires_grad else None,
-                merge(np.swapaxes(p, -1, -2) @ gc, v.shape) if v.requires_grad else None)
+                merge(gs.mT @ qh, k.shape) if k.requires_grad else None,
+                merge(p.mT @ gc, v.shape) if v.requires_grad else None)
 
     return T._make(merge(p @ vh, q.shape), "attention", (q, k, v), backward)
 
@@ -159,10 +158,6 @@ class HyperAttention(AttentionWeights):
         self.params = params
 
     def __call__(self, queries_src: Tensor, keys_src: Tensor) -> Tensor:
-        if queries_src.shape[-1] != self.dim or keys_src.shape[-1] != self.dim:
-            raise ShapeError(
-                f"attention expects feature dim {self.dim}, got "
-                f"{queries_src.shape} / {keys_src.shape}")
         p = self.params
         lq = logmap0(mobius_matvec(self.w_q, queries_src, p), p)
         lk = logmap0(mobius_matvec(self.w_k, keys_src, p), p)

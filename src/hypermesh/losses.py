@@ -97,7 +97,7 @@ def euclidean_losses(pred_fine: Tensor, gt_fine: Tensor,
         weight = Tensor(1.0 / (keep.sum(axis=1)[frame] * keep.shape[0]))
         corners = pred_fine[frame[:, None], faces[face]]      # [K, 3, 3]
         e = corners[:, [1, 2, 0]] - corners                   # edges 0-1, 1-2, 2-0
-        e_hat = e / T.l2norm(e, axis=-1, keepdims=True, eps=1e-12)
+        e_hat = e / T.l2norm(e, keepdims=True, eps=1e-12)
         terms = T.tabs((e_hat * n_hat).sum(axis=-1)).sum(axis=-1)
         l_normal = (terms * weight).sum()
     else:
@@ -107,8 +107,8 @@ def euclidean_losses(pred_fine: Tensor, gt_fine: Tensor,
     if edges.size:
         e_pred = pred_coarse[:, edges[:, 0]] - pred_coarse[:, edges[:, 1]]
         e_gt = gt_coarse[:, edges[:, 0]] - gt_coarse[:, edges[:, 1]]
-        len_pred = T.l2norm(e_pred, axis=-1, keepdims=False, eps=1e-12)
-        len_gt = T.l2norm(e_gt, axis=-1, keepdims=False, eps=1e-12)
+        len_pred = T.l2norm(e_pred, keepdims=False, eps=1e-12)
+        len_gt = T.l2norm(e_gt, keepdims=False, eps=1e-12)
         l_edge = T.tabs(len_pred - len_gt).mean()
     else:
         l_edge = Tensor(0.0)

@@ -49,14 +49,14 @@ class SyntheticScene:
                                     f"array, got shape {a.shape}")
 
 
-def fibonacci_sphere(n: int, radius: float = 0.5) -> np.ndarray:
-    """Deterministic near-uniform sampling of a sphere; the toy mesh template."""
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """Deterministic near-uniform points on the sphere of radius 0.5: the toy template."""
     i = np.arange(n, dtype=np.float64)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     y = 1.0 - 2.0 * (i + 0.5) / n
     r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
     theta = golden * i
-    return radius * np.stack([r * np.cos(theta), y, r * np.sin(theta)], axis=-1)
+    return 0.5 * np.stack([r * np.cos(theta), y, r * np.sin(theta)], axis=-1)
 
 
 def build_toy_topology(cfg: PipelineConfig, rng: np.random.Generator) -> MeshTopology:
@@ -72,7 +72,7 @@ def build_toy_topology(cfg: PipelineConfig, rng: np.random.Generator) -> MeshTop
     for _ in range(nc):
         a, b = rng.choice(nc, size=2, replace=False)
         edges.add((min(a, b), max(a, b)))
-    edges = sorted((a, b) for a, b in edges if a != b)
+    edges = sorted(edges)
 
     faces = set()
     while len(faces) < nf:

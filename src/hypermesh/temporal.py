@@ -95,7 +95,6 @@ class TemporalPriorExtractor(Module):
         self.gru_aft = GruCell(feat_dim, feat_dim, rng)
         self.msa = EuclideanAttention(feat_dim, heads, rng)
         self.motion_proj = Linear(3 * n_joints, feat_dim, rng)
-        self.feat_dim = feat_dim
         self.n_joints = n_joints
 
     def __call__(self, poses: Tensor, feats: Tensor) -> tuple[Tensor, Tensor]:
@@ -104,8 +103,6 @@ class TemporalPriorExtractor(Module):
         t_frames = feats.shape[0]
         if t_frames % 2 != 0:
             raise ContractError(f"sequence length must be even, got {t_frames}")
-        if feats.shape[1] != self.feat_dim:
-            raise ShapeError(f"expected [T, {self.feat_dim}], got {feats.shape}")
         half = t_frames // 2
         tf_bef = self.gru_bef(feats[:half])
         tf_aft = self.gru_aft(feats[half:])

@@ -73,9 +73,7 @@ class Tensor:
             raise ContractError("backward() requires a tensor of size 1")
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(tape_order(self)):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
+            g = pending.pop(id(node))
             if node._backward is None:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
@@ -189,8 +187,8 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b=None) -> Tensor:
     """``x @ w.T (+ b)`` on the trailing axis, as one node; a weight [B, out, in]
-    maps each block's slice [..., B, n, in] apart. Its gradients repeat the
-    expressions of the composed transpose, matmul and add, bit for bit."""
+    maps each block's slice [..., B, n, in] apart. Its gradients equal those of
+    the composed transpose, matmul and add, bit for bit."""
     x, w = as_tensor(x), as_tensor(w)
     bias = () if b is None else (as_tensor(b),)
     wt = w.data.mT
@@ -198,7 +196,7 @@ def linear(x, w, b=None) -> Tensor:
 
     def backward(g):
         return (_unbroadcast(g @ w.data, x.shape) if x.requires_grad else None,
-                _unbroadcast(x.data.mT @ g, w.data.mT.shape).mT if w.requires_grad else None,
+                _unbroadcast(g.mT @ x.data, w.shape) if w.requires_grad else None,
                 *(_unbroadcast(g, t.shape) if t.requires_grad else None for t in bias))
 
     return _make(data, "linear", (x, w, *bias), backward)
@@ -250,9 +248,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make(np.asarray(data, dtype=np.float64), "sum", (a,), backward)
@@ -361,15 +357,15 @@ def tabs(a) -> Tensor:
     return _make(data, "abs", (a,), lambda g: (g * np.sign(a.data),))
 
 
-def l2norm(a, axis: int = -1, keepdims: bool = True, eps: float = 0.0) -> Tensor:
-    """Smoothed Euclidean norm sqrt(sum(x^2) + eps^2) along an axis."""
+def l2norm(a, keepdims: bool = True, eps: float = 0.0) -> Tensor:
+    """Smoothed Euclidean norm sqrt(sum(x^2) + eps^2) along the trailing axis."""
     a = as_tensor(a)
-    sq = (a.data * a.data).sum(axis=axis, keepdims=True)
+    sq = (a.data * a.data).sum(axis=-1, keepdims=True)
     n = np.sqrt(sq + eps * eps)
-    data = n if keepdims else np.squeeze(n, axis=axis)
+    data = n if keepdims else n[..., 0]
 
     def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims else g[..., None]
         return (gg * a.data / n,)
 
     return _make(data, "l2norm", (a,), backward)

@@ -103,6 +103,12 @@ def test_attention_shape_error():
         att(Tensor(np.zeros((3, 7))), Tensor(np.zeros((3, 8))))
 
 
+def test_attention_shape_error_on_the_key_side():
+    att = HyperAttention(8, 2, np.random.default_rng(6))
+    with pytest.raises(ShapeError):
+        att(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 7))))
+
+
 def test_attention_heads_divisibility():
     with pytest.raises(ShapeError):
         HyperAttention(7, 2, np.random.default_rng(7))

@@ -391,7 +391,7 @@ def test_fusion_linearity():
 
 
 def test_fibonacci_sphere_radius():
-    pts = fibonacci_sphere(32, radius=0.5)
+    pts = fibonacci_sphere(32)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=-1), 0.5, atol=1e-12)
 
 

@@ -137,6 +137,15 @@ def test_prior_rejects_odd_length():
         ext(Tensor(np.zeros((5, 2, 3))), Tensor(np.zeros((5, 4))))
 
 
+@pytest.mark.parametrize("feats_shape", [(4,), (4, 3)])
+def test_prior_rejects_feats_not_shaped_t_by_feat_dim(feats_shape):
+    # the halves' GRUs check the width, 1-D feats included
+    rng = np.random.default_rng(7)
+    ext = TemporalPriorExtractor(n_joints=2, feat_dim=4, heads=2, rng=rng)
+    with pytest.raises(ShapeError):
+        ext(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros(feats_shape)))
+
+
 def test_prior_halves_use_untied_grus():
     rng = np.random.default_rng(8)
     ext = TemporalPriorExtractor(n_joints=2, feat_dim=4, heads=2, rng=rng)
