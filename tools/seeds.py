@@ -15,6 +15,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -40,9 +41,12 @@ def run_seed(seed: int) -> dict:
     return line
 
 
-def main() -> int:
-    if sys.argv[1:2] == ["--seed"]:
-        print(json.dumps(run_seed(int(sys.argv[2]))))
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)  # one child's seed
+    args = parser.parse_args(argv)
+    if args.seed is not None:
+        print(json.dumps(run_seed(args.seed)))
         return 0
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
