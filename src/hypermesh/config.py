@@ -41,9 +41,6 @@ class PipelineConfig:
     lambda_edge: float = 20.0
     # numerics: the ball margins of manifold.POLICIES[float_width]
     float_width: str = "wide"
-    # synthetic scene shaping
-    motion_amplitude: float = 0.15
-    feature_noise: float = 0.01
     # evaluation
     root_joint: int = 0
     # paths

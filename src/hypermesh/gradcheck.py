@@ -31,17 +31,17 @@ def _rel_err(a: float, b: float) -> float:
 
 def gradcheck(f: Callable[..., Tensor],
               inputs: Sequence[Tensor],
-              step: float = 1e-5,
               tol: float = 1e-6,
               max_entries: int | None = None,
               rng: np.random.Generator | None = None) -> GradcheckReport:
     """Compare reverse-mode gradients of ``f(*inputs)`` with central differences.
 
-    ``f`` must return a tensor of size 1, of any rank. Relative error per entry is
-    |a - n| / max(1, |a|, |n|). ``max_entries`` caps the number of
-    finite-difference probes per input (seeded subsample) for deep graphs.
+    ``f`` must return a tensor of size 1, of any rank. The step is 1e-5, and the
+    relative error per entry is |a - n| / max(1, |a|, |n|). ``max_entries`` caps
+    the number of finite-difference probes per input (seeded subsample) for deep graphs.
     """
     inputs = list(inputs)
+    step = 1e-5
     for x in inputs:
         x.requires_grad = True
         x.zero_grad()

@@ -29,10 +29,8 @@ from .tensor_io import atomic_write
 
 @dataclass
 class MeshTopology:
-    """Coarse/fine vertex counts, coarse edges, fine faces, and the upsampler U."""
+    """Coarse edges, fine faces, and the upsampler U; ``n_fine, n_coarse`` are U's shape."""
 
-    n_coarse: int
-    n_fine: int
     edges: np.ndarray       # [E, 2] coarse vertex index pairs
     faces: np.ndarray       # [F, 3] fine vertex triangles
     upsampler: np.ndarray   # [n_fine, n_coarse], row-stochastic
@@ -46,9 +44,9 @@ class MeshTopology:
                                     f"integers, got shape {a.shape}")
             setattr(self, name, a.astype(np.int64))
         self.upsampler = np.asarray(self.upsampler, dtype=np.float64)
-        if self.upsampler.shape != (self.n_fine, self.n_coarse):
-            raise TopologyError(
-                f"upsampler shape {self.upsampler.shape} != ({self.n_fine}, {self.n_coarse})")
+        if self.upsampler.ndim != 2:
+            raise TopologyError(f"upsampler must be 2-D, got shape {self.upsampler.shape}")
+        self.n_fine, self.n_coarse = self.upsampler.shape
         if not np.all(self.upsampler >= 0):  # NaN fails both tests
             raise TopologyError("upsampler has negative entries")
         row_sums = self.upsampler.sum(axis=1)

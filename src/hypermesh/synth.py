@@ -1,7 +1,7 @@
 """Synthetic scenes: a sinusoidally articulating toy skeleton, a coarse mesh
 skinned to it, a fine mesh produced by the fixed upsampler, and image-like
 features derived from the poses. Everything is a deterministic function of
-the config seed."""
+the config seed; the joints' motion amplitude and the feature noise are fixed."""
 
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ SCENE_AXES = {"poses": "t_frames n_joints xyz", "coarse_meshes": "t_frames n_coa
               "fine_meshes": "t_frames n_fine xyz", "feats": "t_frames feat_dim",
               "regressor": "n_joints n_fine", "upsampler": "n_fine n_coarse"}
 SCENE_ARRAYS = (*SCENE_AXES, "edges", "faces")
+MOTION_AMPLITUDE = 0.15  # scale of each joint's sinusoid amplitude, meters
+FEATURE_NOISE = 0.01     # std of the Gaussian noise added to the features
 
 
 @dataclass
@@ -80,8 +82,7 @@ def build_toy_topology(cfg: PipelineConfig, rng: np.random.Generator) -> MeshTop
         faces.add(tri)
     faces = sorted(faces)
 
-    return MeshTopology(n_coarse=nc, n_fine=nf, edges=np.asarray(edges),
-                        faces=np.asarray(faces), upsampler=upsampler)
+    return MeshTopology(edges=np.asarray(edges), faces=np.asarray(faces), upsampler=upsampler)
 
 
 def build_regressor(cfg: PipelineConfig) -> JointRegressor:
@@ -98,7 +99,7 @@ def synth_generate(cfg: PipelineConfig) -> SyntheticScene:
     t_frames, j = cfg.t_frames, cfg.n_joints
 
     base = rng.uniform(-0.4, 0.4, size=(j, 3))
-    amp = rng.uniform(0.2, 1.0, size=(j, 3)) * cfg.motion_amplitude
+    amp = rng.uniform(0.2, 1.0, size=(j, 3)) * MOTION_AMPLITUDE
     freq = rng.integers(1, 4, size=(j, 3)).astype(np.float64)
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(j, 3))
     t = np.arange(t_frames, dtype=np.float64)[:, None, None]
@@ -113,7 +114,7 @@ def synth_generate(cfg: PipelineConfig) -> SyntheticScene:
 
     proj = rng.normal(size=(cfg.feat_dim, 3 * j)) / math.sqrt(3 * j)
     feats = poses.reshape(t_frames, 3 * j) @ proj.T
-    feats = feats + cfg.feature_noise * rng.normal(size=feats.shape)
+    feats = feats + FEATURE_NOISE * rng.normal(size=feats.shape)
 
     return SyntheticScene(poses=poses, coarse_meshes=coarse, fine_meshes=fine,
                           feats=feats, topology=topology,
@@ -136,14 +137,10 @@ def load_scene(directory: str | Path) -> SyntheticScene:
     if sorted(arrays) != sorted(SCENE_ARRAYS):
         raise ContractError(f"{directory}: a scene holds the arrays {sorted(SCENE_ARRAYS)}, "
                             f"its manifest lists {sorted(arrays)}")
-    upsampler = arrays["upsampler"]
-    if upsampler.ndim != 2:
-        raise ContractError(f"scene upsampler must be 2-D, got shape {upsampler.shape}")
     return SyntheticScene(
         poses=arrays["poses"], coarse_meshes=arrays["coarse_meshes"],
         fine_meshes=arrays["fine_meshes"], feats=arrays["feats"],
-        topology=MeshTopology(n_coarse=upsampler.shape[1], n_fine=upsampler.shape[0],
-                              edges=arrays["edges"], faces=arrays["faces"],
-                              upsampler=upsampler),
+        topology=MeshTopology(edges=arrays["edges"], faces=arrays["faces"],
+                              upsampler=arrays["upsampler"]),
         regressor=JointRegressor(arrays["regressor"]),
     )

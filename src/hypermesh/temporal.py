@@ -95,7 +95,6 @@ class TemporalPriorExtractor(Module):
         self.gru_aft = GruCell(feat_dim, feat_dim, rng)
         self.msa = EuclideanAttention(feat_dim, heads, rng)
         self.motion_proj = Linear(3 * n_joints, feat_dim, rng)
-        self.n_joints = n_joints
 
     def __call__(self, poses: Tensor, feats: Tensor) -> tuple[Tensor, Tensor]:
         """Fused prior tm_pr [T, D_f] and pose motion codes p_motion [T, J, 3]."""
@@ -108,6 +107,5 @@ class TemporalPriorExtractor(Module):
         tf_aft = self.gru_aft(feats[half:])
         tf_cont = T.concat([tf_bef, tf_aft], axis=0)
         mixed = self.msa(tf_cont)
-        motion_flat = p_motion.reshape(t_frames, 3 * self.n_joints)
-        tm_pr = mixed + self.motion_proj(motion_flat)
+        tm_pr = mixed + self.motion_proj(p_motion.reshape(t_frames, -1))
         return tm_pr, p_motion

@@ -104,10 +104,9 @@ class TrainResult:
         return self.losses[-1]
 
 
-def train_toy(cfg: PipelineConfig, scene: SyntheticScene | None = None,
-              *, out_dir: str | Path) -> TrainResult:
-    if scene is None:
-        scene = synth_generate(cfg)
+def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
+    """Train on ``synth_generate(cfg)``; write the loss curve and checkpoint to ``out_dir``."""
+    scene = synth_generate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

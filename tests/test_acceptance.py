@@ -115,7 +115,7 @@ def test_criterion_5_oracle_equivalence():
     upsampler = np.zeros((nf, nc))
     upsampler[:nc, :nc] = np.eye(nc)
     upsampler[nc:] = 0.25
-    topo = MeshTopology(nc, nf, np.array([(i, (i + 1) % nc) for i in range(nc)]),
+    topo = MeshTopology(np.array([(i, (i + 1) % nc) for i in range(nc)]),
                         np.array([(0, 1, 2), (1, 2, 3), (2, 3, 4)]), upsampler)
     reg = np.zeros((2, nf))
     reg[0, 0] = reg[1, 1] = 1.0

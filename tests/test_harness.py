@@ -11,6 +11,7 @@ import pytest
 
 import hypermesh
 from hypermesh import tensor as T
+from hypermesh.checks import PROPCHECKS
 from hypermesh.cli import main
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ConfigError, ContractError, NumericError
@@ -283,7 +284,7 @@ def test_train_smoke_writes_artifacts(tmp_path):
 def test_train_checkpoint_reproduces_forward(tmp_path):
     cfg = _small_cfg(steps=2, learning_rate=0.001)
     scene = synth_generate(cfg)
-    result = train_toy(cfg, scene=scene, out_dir=tmp_path / "run")
+    result = train_toy(cfg, out_dir=tmp_path / "run")
     pipe = build_pipeline(cfg, scene)
     pipe.load_state_dict(load_checkpoint(result.checkpoint_path))
     _, m_out = pipe.run_sequence(Tensor(scene.poses), Tensor(scene.feats))
@@ -293,7 +294,7 @@ def test_train_checkpoint_reproduces_forward(tmp_path):
 def test_train_with_zero_steps_writes_one_loss_and_the_initial_state(tmp_path):
     cfg = _small_cfg(steps=0)
     scene = synth_generate(cfg)
-    result = train_toy(cfg, scene=scene, out_dir=tmp_path / "run")
+    result = train_toy(cfg, out_dir=tmp_path / "run")
     lines = result.loss_curve_path.read_text().splitlines()
     assert lines[0] == "step,loss" and len(lines) == 2 and len(result.losses) == 1
     initial = build_pipeline(cfg, scene).state_dict()
@@ -422,10 +423,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ({"momentum": -1.0}, "momentum"),
     ({"momentum": 1.0}, "momentum"),
     ({"momentum": 3.0}, "momentum"),
+    ({"root_joint": 5}, "root_joint"),
+    ({"motion_amplitude": 0.15}, "motion_amplitude"),
+    ({"feature_noise": 0.01}, "feature_noise"),
 ], ids=["wrong_type", "out_of_range", "removed_field", "removed_eps_ball",
         "removed_eps_norm", "removed_hymesh_scale", "removed_output_dir",
         "negative_loss_weight", "nan_learning_rate", "infinite_loss_weight",
-        "int_beyond_float64", "negative_momentum", "momentum_one", "momentum_above_one"])
+        "int_beyond_float64", "negative_momentum", "momentum_one", "momentum_above_one",
+        "root_joint_out_of_range", "removed_motion_amplitude", "removed_feature_noise"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
@@ -477,8 +482,9 @@ def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
     "[" * 100_000,
     lambda m: m["template"].update(shape=[6.0, 3.0]),
     lambda m: m["prior.gru_aft.w_r"].update(file=m["prior.gru_aft.w_z"]["file"]),
+    lambda m: m["template"].update(shape=[3, 6]),
 ], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json",
-        "nested_too_deep", "float_shape", "file_named_twice"])
+        "nested_too_deep", "float_shape", "file_named_twice", "shape_disagrees_with_file"])
 def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
@@ -640,6 +646,20 @@ def test_cli_propcheck_filtered(capsys):
     assert main(["propcheck", "--module", "temporal", "--cases", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS temporal/gru_vs_loop_oracle" in out
+
+
+def test_cli_propcheck_reports_a_failing_check(capsys, monkeypatch):
+    def broken(cases=None):
+        raise AssertionError("worst error 0.5 > 1e-9")
+    first, _, last = PROPCHECKS["hyperlayers"]
+    monkeypatch.setitem(PROPCHECKS, "hyperlayers",
+                        [first, ("adaln_vs_composition_oracle", broken), last])
+    assert main(["propcheck", "--module", "hyperlayers", "--cases", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS hyperlayers/attention_vs_loop_oracle cases=3",
+        "FAIL hyperlayers/adaln_vs_composition_oracle cases=0 (worst error 0.5 > 1e-9)",
+        "PASS hyperlayers/attention_permutation cases=3",
+        "2/3 propchecks passed"]
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -22,8 +22,7 @@ def _topology():
     upsampler[nc:] = 0.25
     edges = np.array([(i, (i + 1) % nc) for i in range(nc)])
     faces = np.array([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-    return MeshTopology(n_coarse=nc, n_fine=nf, edges=edges, faces=faces,
-                        upsampler=upsampler)
+    return MeshTopology(edges=edges, faces=faces, upsampler=upsampler)
 
 
 def _regressor(nf=6):

@@ -44,26 +44,23 @@ def _topology(nc=4, nf=6):
     upsampler[nc:] = 1.0 / nc
     edges = [(i, (i + 1) % nc) for i in range(nc)]
     faces = [(0, 1, 2), (1, 2, 3)]
-    return MeshTopology(n_coarse=nc, n_fine=nf, edges=np.array(edges),
-                        faces=np.array(faces), upsampler=upsampler)
+    return MeshTopology(edges=np.array(edges), faces=np.array(faces), upsampler=upsampler)
 
 
 def test_topology_validation():
     for bad in (np.full((6, 4), 0.3), np.full((6, 4), np.nan)):
         with pytest.raises(TopologyError):
-            MeshTopology(4, 6, np.zeros((0, 2)), np.zeros((0, 3)), bad)
+            MeshTopology(np.zeros((0, 2)), np.zeros((0, 3)), bad)
     with pytest.raises(TopologyError):
-        MeshTopology(4, 6, np.array([[0, 9]]), np.zeros((0, 3)),
-                     _topology().upsampler)
+        MeshTopology(np.array([[0, 9]]), np.zeros((0, 3)), _topology().upsampler)
     with pytest.raises(TopologyError):
-        MeshTopology(4, 6, np.zeros((0, 2)), np.array([[0, 1, 17]]),
-                     _topology().upsampler)
+        MeshTopology(np.zeros((0, 2)), np.array([[0, 1, 17]]), _topology().upsampler)
     # fractional, flat, ragged and non-numeric index arrays are refused, not cast
     up = _topology().upsampler
     for edges, faces in (([[0, 1]], [[0.5, 1.5, 2.5]]), ([0, 1, 1, 2], [[0, 1, 2]]),
                          ([[0, 1]], np.arange(8.0)), ([["0", "1"]], [[0, 1, 2]])):
         with pytest.raises(TopologyError):
-            MeshTopology(4, 6, np.array(edges), np.array(faces), up)
+            MeshTopology(np.array(edges), np.array(faces), up)
 
 
 def test_fuse_and_upsample_linear():
@@ -296,6 +293,10 @@ def test_pipeline_state_dict_strictness():
     state = pipe.state_dict()
     state.pop(sorted(state)[0])
     with pytest.raises(ContractError):
+        pipe.load_state_dict(state)
+    state = pipe.state_dict()
+    state["hmo.head.b"] = np.zeros(4)
+    with pytest.raises(ContractError, match=r"state dict entry hmo\.head\.b: shape \(4,\)"):
         pipe.load_state_dict(state)
 
 
