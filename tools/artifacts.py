@@ -10,7 +10,9 @@ bytes, manifest included. The runs:
 - ``eval_t4`` and ``eval_t32``: ``evaluate`` at seed 3, from the initial
   parameters plus U(-0.02, 0.02) noise drawn from ``default_rng([3, 1])``;
 - ``criterion_8``: the final losses of acceptance criterion 8's full and
-  ablated 1,500-step runs (about a minute).
+  ablated 1,500-step runs (about a minute);
+- ``gradcheck`` and ``propcheck``: the stdout of ``python -m hypermesh.cli
+  gradcheck`` and ``propcheck``, which print each check's error or case count.
 
 Usage::
 
@@ -42,7 +44,8 @@ TRAIN_RUNS = {
     "t_frames_32": {"t_frames": 32, "steps": 20},
 }
 EVAL_RUNS = {"eval_t4": {"seed": 3}, "eval_t32": {"seed": 3, "t_frames": 32}}
-RUNS = [*TRAIN_RUNS, *EVAL_RUNS, "criterion_8"]
+CLI_RUNS = ("gradcheck", "propcheck")
+RUNS = [*TRAIN_RUNS, *EVAL_RUNS, "criterion_8", *CLI_RUNS]
 EVAL_NOISE = 0.02
 
 
@@ -92,18 +95,21 @@ def table() -> dict:
                                                        os.environ.get("PYTHONPATH")]))}
     out = {}
     for name in RUNS:
-        proc = subprocess.run([sys.executable, __file__, "--run", name], env=env,
-                              capture_output=True, text=True)
+        cli = name in CLI_RUNS
+        proc = subprocess.run([sys.executable, *(["-m", "hypermesh.cli", name] if cli
+                                                 else [__file__, "--run", name])],
+                              env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"run {name} failed (exit {proc.returncode}):\n{proc.stderr}")
-        out[name] = json.loads(proc.stdout.splitlines()[-1])
+        out[name] = ({"stdout": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]} if cli
+                     else json.loads(proc.stdout.splitlines()[-1]))
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, help="a table to compare with")
-    parser.add_argument("--run", choices=RUNS, help=argparse.SUPPRESS)
+    parser.add_argument("--run", choices=RUNS[:-len(CLI_RUNS)], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run:
         with tempfile.TemporaryDirectory() as tmp:
