@@ -121,7 +121,7 @@ def _loop_attention(att: AttentionWeights, q: np.ndarray, k: np.ndarray,
 def hyper_attention_oracle(att: HyperAttention, q_src: np.ndarray,
                            k_src: np.ndarray) -> np.ndarray:
     """Brute-force hyperbolic attention: per-row Möbius Q/K/V and expmap0."""
-    p = att.params
+    p = DEFAULT_PARAMS
     lq = np.stack([np_logmap0(np_mobius_matvec(att.w_q.data, q, p), p) for q in q_src])
     lk = np.stack([np_logmap0(np_mobius_matvec(att.w_k.data, k, p), p) for k in k_src])
     lv = np.stack([np_logmap0(np_mobius_matvec(att.w_v.data, k, p), p) for k in k_src])
@@ -136,7 +136,7 @@ def euclidean_attention_oracle(att: EuclideanAttention,
 
 def adaln_oracle(layer: HyperAdaLN, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """logmap0 -> AdaLN -> expmap0, composed one explicit step at a time."""
-    p = layer.params
+    p = DEFAULT_PARAMS
     gamma = layer.gamma_proj.w.data @ cond + layer.gamma_proj.b.data
     beta = layer.beta_proj.w.data @ cond + layer.beta_proj.b.data
     out = np.zeros_like(x)
@@ -523,7 +523,7 @@ def _layer_entries():
     yield entry("hyper_attention_frames", lambda rng: build_attention(rng, (3,)))
     yield entry("hyper_adaln_frames", lambda rng: build_adaln(rng, (3,)))
     yield entry("hyperbolic_linear", build_linear)
-    yield entry("hyper_gelu", lambda rng: (lambda x: hyper_gelu(x, p), [rows(rng, (4, 3))]))
+    yield entry("hyper_gelu", lambda rng: (hyper_gelu, [rows(rng, (4, 3))]))
     yield entry("hyper_adaln", build_adaln)
     yield entry("hyper_attention", build_attention)
     yield entry("hyper_ffn", build_ffn)

@@ -1,4 +1,5 @@
-"""Run configuration: one strict JSON document drives a whole experiment."""
+"""Run configuration: one strict JSON document drives a whole experiment.
+The ball margins are not a setting: every run uses ``manifold.DEFAULT_PARAMS``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .manifold import POLICIES, BallParams
+from .manifold import DEFAULT_PARAMS, BallParams
 from .tensor_io import atomic_write, unique_keys
 
 # accepted value types, by field annotation
@@ -39,8 +40,6 @@ class PipelineConfig:
     lambda_hyper: float = 1.0
     lambda_normal: float = 0.1
     lambda_edge: float = 20.0
-    # numerics: the ball margins of manifold.POLICIES[float_width]
-    float_width: str = "wide"
     # evaluation
     root_joint: int = 0
     # paths
@@ -73,14 +72,11 @@ class PipelineConfig:
         for small, large in (("n_joints", "n_coarse"), ("n_coarse", "n_fine")):
             if getattr(self, large) < getattr(self, small):
                 raise ConfigError(f"{large} must be >= {small}")
-        if self.float_width not in POLICIES:
-            raise ConfigError(
-                f"float_width must be one of {sorted(POLICIES)}, got {self.float_width!r}")
         if not (0 <= self.root_joint < self.n_joints):
             raise ConfigError(f"root_joint {self.root_joint} out of range")
 
     def ball_params(self) -> BallParams:
-        return POLICIES[self.float_width]
+        return DEFAULT_PARAMS
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .manifold import (BallParams, DEFAULT_PARAMS, expmap0, logmap0,
-                       mobius_add, mobius_matvec)
+from .manifold import expmap0, logmap0, mobius_add, mobius_matvec
 from .module import Module
 from .tensor import Tensor
 
@@ -49,19 +48,17 @@ class HyperbolicLinear(Module):
 
     ball_param_names = ("b",)
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = _uniform(rng, (out_dim, in_dim))
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
-        self.params = params
 
     def __call__(self, x: Tensor) -> Tensor:
-        return mobius_add(mobius_matvec(self.w, x, self.params), self.b, self.params)
+        return mobius_add(mobius_matvec(self.w, x), self.b)
 
 
-def hyper_gelu(x: Tensor, params: BallParams = DEFAULT_PARAMS) -> Tensor:
+def hyper_gelu(x: Tensor) -> Tensor:
     """GELU conjugated by the origin maps: expmap0(GELU(logmap0(x)))."""
-    return expmap0(T.gelu(logmap0(x, params)), params)
+    return expmap0(T.gelu(logmap0(x)))
 
 
 class HyperAdaLN(Module):
@@ -75,19 +72,17 @@ class HyperAdaLN(Module):
 
     eps_var = 1e-5  # added to the variance before its square root
 
-    def __init__(self, feat_dim: int, cond_dim: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS):
+    def __init__(self, feat_dim: int, cond_dim: int, rng: np.random.Generator):
         self.gamma_proj = Linear(cond_dim, feat_dim, rng, bias_init=1.0)
         self.beta_proj = Linear(cond_dim, feat_dim, rng)
-        self.params = params
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         if cond.ndim == 1:
             cond = cond.reshape(1, cond.shape[0])
-        t_hat = T.normalize(logmap0(x, self.params), self.eps_var)
+        t_hat = T.normalize(logmap0(x), self.eps_var)
         gamma = self.gamma_proj(cond)
         beta = self.beta_proj(cond)
-        return expmap0(gamma * t_hat + beta, self.params)
+        return expmap0(gamma * t_hat + beta)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -152,28 +147,20 @@ class HyperAttention(AttentionWeights):
     ``queries_src is keys_src``.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS):
-        super().__init__(dim, heads, rng)
-        self.params = params
-
     def __call__(self, queries_src: Tensor, keys_src: Tensor) -> Tensor:
-        p = self.params
-        lq = logmap0(mobius_matvec(self.w_q, queries_src, p), p)
-        lk = logmap0(mobius_matvec(self.w_k, keys_src, p), p)
-        lv = logmap0(mobius_matvec(self.w_v, keys_src, p), p)
-        return expmap0(T.linear(attention(lq, lk, lv, self.heads), self.w_o), p)
+        lq = logmap0(mobius_matvec(self.w_q, queries_src))
+        lk = logmap0(mobius_matvec(self.w_k, keys_src))
+        lv = logmap0(mobius_matvec(self.w_v, keys_src))
+        return expmap0(T.linear(attention(lq, lk, lv, self.heads), self.w_o))
 
 
 class HyperFFN(Module):
     """Two hyperbolic linear layers around a hyperbolic GELU, width d -> 4d -> d."""
 
-    def __init__(self, dim: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS):
-        self.lin1 = HyperbolicLinear(dim, 4 * dim, rng, params)
-        self.lin2 = HyperbolicLinear(4 * dim, dim, rng, params)
-        self.params = params
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.lin1 = HyperbolicLinear(dim, 4 * dim, rng)
+        self.lin2 = HyperbolicLinear(4 * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(hyper_gelu(self.lin1(x), self.params))
+        return self.lin2(hyper_gelu(self.lin1(x)))
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .config import PipelineConfig
 from .errors import ContractError, ShapeError
-from .manifold import BallParams, DEFAULT_PARAMS, expmap0
+from .manifold import expmap0
 from .pipeline import MeshTopology
 from .tensor import Tensor
 
@@ -42,8 +42,7 @@ class EuclideanLosses:
     degenerate_faces: int
 
 
-def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor,
-                         params: BallParams = DEFAULT_PARAMS) -> Tensor:
+def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean per-vertex L1 distance after mapping both meshes onto the ball.
 
     Meshes are [n, 3] or [T, n, 3] (the mean pools all frames); vertex
@@ -51,8 +50,8 @@ def hyperbolic_mesh_loss(pred: Tensor, gt: Tensor,
     """
     if pred.shape != gt.shape:
         raise ShapeError(f"mesh shapes differ: {pred.shape} vs {gt.shape}")
-    e_pred = expmap0(pred, params)
-    e_gt = expmap0(gt, params)
+    e_pred = expmap0(pred)
+    e_gt = expmap0(gt)
     return _mean_l1(e_gt, e_pred)
 
 

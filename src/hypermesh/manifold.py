@@ -1,10 +1,11 @@
 """Poincaré unit-ball gyrovector operations.
 
 Points live in the open unit ball (trailing axis is the embedding dimension,
-any leading batch axes). Curvature is fixed at 1; all formulas are for the
-unit ball. Every producing operation ends with a clamp of trailing-vector
-norms to 1 - eps_ball (:func:`ball_clamp`), which keeps atanh (and therefore
-gradients) bounded.
+any leading batch axes). The curvature and margins are fixed: curvature 1, so
+all formulas are for the unit ball, and the margins of :data:`DEFAULT_PARAMS`,
+which every layer uses. Every producing operation ends with a clamp of
+trailing-vector norms to 1 - eps_ball (:func:`ball_clamp`), which keeps atanh
+(and therefore gradients) bounded.
 
 Each public ball op records one tape node whose backward is the op's
 closed-form vector-Jacobian product (Ganea et al., Hyperbolic Neural
@@ -57,13 +58,8 @@ class BallParams:
                 f"eps_norm must be in (0, eps_ball), got {self.eps_norm}")
 
 
-# The numerics policies a config selects by ``float_width``. Both are margins
-# for the float64 engine: "narrow" keeps points further from the boundary.
-POLICIES = {
-    "wide": BallParams(),
-    "narrow": BallParams(eps_ball=1e-4, eps_norm=1e-7),
-}
-DEFAULT_PARAMS = POLICIES["wide"]
+# The engine's ball margins; the ops take others only for tests and oracles.
+DEFAULT_PARAMS = BallParams()
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

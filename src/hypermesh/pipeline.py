@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError, TopologyError
 from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear, _uniform
-from .manifold import BallParams, DEFAULT_PARAMS, expmap0, logmap0, mobius_add
+from .manifold import expmap0, logmap0, mobius_add
 from .module import Module
 from .temporal import TemporalPriorExtractor
 from .tensor import Tensor
@@ -93,41 +93,38 @@ class OptBlock(Module):
     """
 
     def __init__(self, n_tokens: int, n_keys: int, cond_dim: int, dim: int,
-                 heads: int, rng: np.random.Generator,
-                 params: BallParams = DEFAULT_PARAMS):
+                 heads: int, rng: np.random.Generator):
         self.embed_mesh = Linear(3, dim, rng)
         self.embed_pose = Linear(3, dim, rng)
         self.pos_mesh = _uniform(rng, (n_tokens, dim))
         self.pos_pose = _uniform(rng, (n_keys, dim))
-        self.adaln_in = HyperAdaLN(dim, cond_dim, rng, params)
-        self.cross_att = HyperAttention(dim, heads, rng, params)
-        self.adaln_mid = HyperAdaLN(dim, cond_dim, rng, params)
-        self.ffn_mid = HyperFFN(dim, rng, params)
-        self.self_att = HyperAttention(dim, heads, rng, params)
-        self.adaln_out = HyperAdaLN(dim, cond_dim, rng, params)
-        self.ffn_out = HyperFFN(dim, rng, params)
+        self.adaln_in = HyperAdaLN(dim, cond_dim, rng)
+        self.cross_att = HyperAttention(dim, heads, rng)
+        self.adaln_mid = HyperAdaLN(dim, cond_dim, rng)
+        self.ffn_mid = HyperFFN(dim, rng)
+        self.self_att = HyperAttention(dim, heads, rng)
+        self.adaln_out = HyperAdaLN(dim, cond_dim, rng)
+        self.ffn_out = HyperFFN(dim, rng)
         self.head = Linear(dim, 3, rng)
-        self.params = params
 
     def __call__(self, m_init: Tensor, cond: Tensor, pose: Tensor) -> Tensor:
         if m_init.shape[-1] != 3 or pose.shape[-1] != 3:
             raise ShapeError("mesh and pose streams must have trailing dim 3")
-        p = self.params
 
         mesh_tokens = self.embed_mesh(m_init) + self.pos_mesh
         pose_tokens = self.embed_pose(pose) + self.pos_pose
-        m_hat = expmap0(mesh_tokens, p)
-        p_hat = expmap0(pose_tokens, p)
+        m_hat = expmap0(mesh_tokens)
+        p_hat = expmap0(pose_tokens)
 
         m_mix = self.adaln_in(m_hat, cond)
-        x_pm = mobius_add(self.cross_att(m_mix, p_hat), m_mix, p)
+        x_pm = mobius_add(self.cross_att(m_mix, p_hat), m_mix)
         x_ada = self.adaln_mid(x_pm, cond)
-        x_m = mobius_add(self.ffn_mid(x_ada), x_pm, p)
+        x_m = mobius_add(self.ffn_mid(x_ada), x_pm)
 
-        x_p = mobius_add(self.self_att(x_m, x_m), x_m, p)
-        m_ref = mobius_add(self.ffn_out(self.adaln_out(x_p, cond)), x_p, p)
+        x_p = mobius_add(self.self_att(x_m, x_m), x_m)
+        m_ref = mobius_add(self.ffn_out(self.adaln_out(x_p, cond)), x_p)
 
-        return self.head(logmap0(m_ref, p))
+        return self.head(logmap0(m_ref))
 
 
 def fuse_and_upsample(m_blocks: Tensor, topology: MeshTopology) -> tuple[MeshState, MeshState]:
@@ -149,7 +146,7 @@ class MeshPipeline(Module):
 
     def __init__(self, n_joints: int, feat_dim: int, dim: int, heads: int,
                  topology: MeshTopology, template: np.ndarray,
-                 rng: np.random.Generator, params: BallParams = DEFAULT_PARAMS):
+                 rng: np.random.Generator):
         template = np.asarray(template, dtype=np.float64)
         if template.shape != (topology.n_coarse, 3):
             raise ShapeError(
@@ -157,7 +154,7 @@ class MeshPipeline(Module):
         if not np.isfinite(template).all():
             raise NumericError("template mesh is not finite")
         self.prior = TemporalPriorExtractor(n_joints, feat_dim, heads, rng)
-        lone = [OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng, params)
+        lone = [OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng)
                 for _ in BLOCKS]
         named = [block.named_parameters() for block in lone]
         self.block_shapes = {k: v.shape for k, v in named[0].items()}
@@ -200,9 +197,6 @@ class MeshPipeline(Module):
     def run_sequence(self, poses: Tensor, feats: Tensor,
                      disable_hmo: bool = False) -> tuple[MeshState, MeshState]:
         """Every frame's fused coarse mesh [T, n_coarse, 3] and fine mesh [T, n_fine, 3]."""
-        if poses.shape[0] != feats.shape[0]:
-            raise ShapeError(
-                f"pose/feature frame counts differ: {poses.shape[0]} vs {feats.shape[0]}")
         tm_pr, p_motion = self.prior(poses, feats)
         t_frames, n_joints = poses.shape[:2]
         # cond [T, B, 1, D_f]: each block sums its own gradient terms, as a lone

@@ -99,7 +99,9 @@ class TemporalPriorExtractor(Module):
     def __call__(self, poses: Tensor, feats: Tensor) -> tuple[Tensor, Tensor]:
         """Fused prior tm_pr [T, D_f] and pose motion codes p_motion [T, J, 3]."""
         p_motion = self.pose_motion(poses)
-        t_frames = feats.shape[0]
+        t_frames = poses.shape[0]
+        if feats.shape[0] != t_frames:
+            raise ShapeError(f"pose/feature frame counts differ: {t_frames} vs {feats.shape[0]}")
         if t_frames % 2 != 0:
             raise ContractError(f"sequence length must be even, got {t_frames}")
         half = t_frames // 2

@@ -62,7 +62,7 @@ def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
     return MeshPipeline(n_joints=cfg.n_joints, feat_dim=cfg.feat_dim,
                         dim=cfg.model_dim, heads=cfg.heads,
                         topology=scene.topology, template=template,
-                        rng=rng, params=cfg.ball_params())
+                        rng=rng)
 
 
 def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfig,
@@ -73,7 +73,7 @@ def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfi
     gt_fine = Tensor(scene.fine_meshes)
     eu = euclidean_losses(m_out.vertices, gt_fine, m_opt.vertices,
                           Tensor(scene.coarse_meshes), scene.regressor, scene.topology)
-    hy = hyperbolic_mesh_loss(m_out.vertices, gt_fine, cfg.ball_params())
+    hy = hyperbolic_mesh_loss(m_out.vertices, gt_fine)
     return total_loss(eu, hy, cfg)
 
 
@@ -112,8 +112,7 @@ def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
 
     pipeline = build_pipeline(cfg, scene)
     opt = SGD(pipeline.parameters(), pipeline.ball_parameters(),
-              lr=cfg.learning_rate, momentum=cfg.momentum,
-              ball=cfg.ball_params())
+              lr=cfg.learning_rate, momentum=cfg.momentum)
 
     losses: list[float] = []
     for step in range(cfg.steps):

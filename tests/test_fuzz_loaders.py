@@ -70,7 +70,7 @@ _JSON = st.recursive(
 # mostly known fields with plausible values, so that some documents load
 _CONFIGS = st.dictionaries(
     st.sampled_from(_FIELDS) | st.text(max_size=8),
-    st.integers(0, 64) | st.floats(0.0, 2.0) | st.sampled_from(["wide", "narrow"]) | _JSON,
+    st.integers(0, 64) | st.floats(0.0, 2.0) | _JSON,
     max_size=4)
 
 

@@ -45,8 +45,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(model_dim=10, heads=4)
     with pytest.raises(ConfigError):
-        PipelineConfig(float_width="double")
-    with pytest.raises(ConfigError):
         PipelineConfig(n_coarse=2, n_joints=5)
 
 
@@ -67,21 +65,19 @@ def test_config_invalid_json(tmp_path):
 def test_config_fields_are_fixed_once_validated():
     # a later assignment would skip validation
     cfg = _small_cfg()
-    for field, value in (("lambda_edge", 0.0), ("float_width", "double")):
+    for field, value in (("lambda_edge", 0.0), ("heads", 3)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, value)
     assert cfg.lambda_edge == 20.0
 
 
 def test_float_width_policies():
-    wide = _small_cfg(float_width="wide").ball_params()
-    narrow = _small_cfg(float_width="narrow").ball_params()
-    assert (wide.eps_ball, wide.eps_norm) == (1e-5, 1e-12)
-    assert (narrow.eps_ball, narrow.eps_norm) == (1e-4, 1e-7)
-    # float_width is the one source of the margins: no field overrides them
-    for removed in ("eps_ball", "eps_norm"):
+    margins = _small_cfg().ball_params()
+    assert (margins.eps_ball, margins.eps_norm) == (1e-5, 1e-12)
+    # the margins are fixed: no field selects or overrides them
+    for removed, value in (("eps_ball", 1e-9), ("eps_norm", 1e-9), ("float_width", "narrow")):
         with pytest.raises(ConfigError, match=f"unknown config fields: \\['{removed}'\\]"):
-            PipelineConfig.from_dict({"float_width": "narrow", removed: 1e-9})
+            PipelineConfig.from_dict({removed: value})
 
 
 # ---------------------------------------------------------------- tensor io
@@ -426,11 +422,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ({"root_joint": 5}, "root_joint"),
     ({"motion_amplitude": 0.15}, "motion_amplitude"),
     ({"feature_noise": 0.01}, "feature_noise"),
+    ({"float_width": "wide"}, "float_width"),
 ], ids=["wrong_type", "out_of_range", "removed_field", "removed_eps_ball",
         "removed_eps_norm", "removed_hymesh_scale", "removed_output_dir",
         "negative_loss_weight", "nan_learning_rate", "infinite_loss_weight",
         "int_beyond_float64", "negative_momentum", "momentum_one", "momentum_above_one",
-        "root_joint_out_of_range", "removed_motion_amplitude", "removed_feature_noise"])
+        "root_joint_out_of_range", "removed_motion_amplitude", "removed_feature_noise",
+        "removed_float_width"])
 def test_cli_config_field_errors_exit_code(tmp_path, capsys, fields, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))

@@ -33,7 +33,7 @@ def _lone_blocks(cfg, scene, seed_shift=0):
     ref.prior = TemporalPriorExtractor(cfg.n_joints, cfg.feat_dim, cfg.heads, rng)
     for name in BLOCKS:
         setattr(ref, name, OptBlock(cfg.n_coarse, cfg.n_joints, cfg.feat_dim,
-                                    cfg.model_dim, cfg.heads, rng, cfg.ball_params()))
+                                    cfg.model_dim, cfg.heads, rng))
     ref.template = Tensor(fibonacci_sphere(cfg.n_coarse), requires_grad=True)
     return ref
 
@@ -113,11 +113,10 @@ def test_pipeline_shapes_and_ball_invariant(ball_norms):
     assert not ball_norms.exceeds(cfg.ball_params())
 
 
-@pytest.mark.parametrize("width", ["narrow", "wide"])
-def test_every_ball_op_keeps_the_float_width_margin(ball_norms, width):
+def test_every_ball_op_keeps_the_ball_margin(ball_norms):
     # parameters scaled x60 push every ball op's output past the shell
-    # 1 - eps_ball, so each op must clamp at the margin its config selects
-    cfg = _small_cfg(float_width=width)
+    # 1 - eps_ball, so each op must clamp at the engine's margin
+    cfg = _small_cfg()
     scene = synth_generate(cfg)
     pipe = build_pipeline(cfg, scene)
     for name, param in pipe.named_parameters().items():
@@ -211,7 +210,7 @@ def test_each_block_slice_matches_a_lone_block_bit_for_bit(width):
     (out * Tensor(probe)).sum().backward()
     for b, name in enumerate(BLOCKS):
         lone = OptBlock(cfg.n_coarse, cfg.n_joints, cfg.feat_dim, cfg.model_dim, cfg.heads,
-                        np.random.default_rng(0), cfg.ball_params())
+                        np.random.default_rng(0))
         for k, param in lone.named_parameters().items():
             param.data = state[f"{name}.{k}"]
         lone_cond = Tensor(cond.data[:, b], requires_grad=True)
@@ -369,7 +368,7 @@ def test_opt_block_matches_composition_reference():
     pose = Tensor(rng.normal(size=(2, cfg.n_joints, 3)) * 0.3)
     got = block(m_init, tm, pose).data
 
-    p = block.params
+    p = cfg.ball_params()
     m_hat = expmap0(block.embed_mesh(m_init) + block.pos_mesh, p)
     p_hat = expmap0(block.embed_pose(pose) + block.pos_pose, p)
     m_mix = block.adaln_in(m_hat, tm)

@@ -137,9 +137,9 @@ def test_prior_rejects_odd_length():
         ext(Tensor(np.zeros((5, 2, 3))), Tensor(np.zeros((5, 4))))
 
 
-@pytest.mark.parametrize("feats_shape", [(4,), (4, 3)])
+@pytest.mark.parametrize("feats_shape", [(4,), (4, 3), (2, 4), (6, 4)])
 def test_prior_rejects_feats_not_shaped_t_by_feat_dim(feats_shape):
-    # the halves' GRUs check the width, 1-D feats included
+    # the prior checks the frame count; the halves' GRUs check the width, 1-D feats included
     rng = np.random.default_rng(7)
     ext = TemporalPriorExtractor(n_joints=2, feat_dim=4, heads=2, rng=rng)
     with pytest.raises(ShapeError):
