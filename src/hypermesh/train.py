@@ -61,8 +61,7 @@ def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
         template = fibonacci_sphere(cfg.n_coarse)
     return MeshPipeline(n_joints=cfg.n_joints, feat_dim=cfg.feat_dim,
                         dim=cfg.model_dim, heads=cfg.heads,
-                        topology=scene.topology, template=template,
-                        rng=rng)
+                        topology=scene.topology, template=template, rng=rng)
 
 
 def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfig,
