@@ -121,11 +121,10 @@ def _loop_attention(att: AttentionWeights, q: np.ndarray, k: np.ndarray,
 def hyper_attention_oracle(att: HyperAttention, q_src: np.ndarray,
                            k_src: np.ndarray) -> np.ndarray:
     """Brute-force hyperbolic attention: per-row Möbius Q/K/V and expmap0."""
-    p = DEFAULT_PARAMS
-    lq = np.stack([np_logmap0(np_mobius_matvec(att.w_q.data, q, p), p) for q in q_src])
-    lk = np.stack([np_logmap0(np_mobius_matvec(att.w_k.data, k, p), p) for k in k_src])
-    lv = np.stack([np_logmap0(np_mobius_matvec(att.w_v.data, k, p), p) for k in k_src])
-    return np.stack([np_expmap0(y, p) for y in _loop_attention(att, lq, lk, lv)])
+    lq = np.stack([np_logmap0(np_mobius_matvec(att.w_q.data, q)) for q in q_src])
+    lk = np.stack([np_logmap0(np_mobius_matvec(att.w_k.data, k)) for k in k_src])
+    lv = np.stack([np_logmap0(np_mobius_matvec(att.w_v.data, k)) for k in k_src])
+    return np.stack([np_expmap0(y) for y in _loop_attention(att, lq, lk, lv)])
 
 
 def euclidean_attention_oracle(att: EuclideanAttention,
@@ -136,16 +135,15 @@ def euclidean_attention_oracle(att: EuclideanAttention,
 
 def adaln_oracle(layer: HyperAdaLN, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """logmap0 -> AdaLN -> expmap0, composed one explicit step at a time."""
-    p = DEFAULT_PARAMS
     gamma = layer.gamma_proj.w.data @ cond + layer.gamma_proj.b.data
     beta = layer.beta_proj.w.data @ cond + layer.beta_proj.b.data
     out = np.zeros_like(x)
     for i in range(x.shape[0]):
-        t = np_logmap0(x[i], p)
+        t = np_logmap0(x[i])
         mu = t.mean()
         var = ((t - mu) ** 2).mean()
         t_hat = (t - mu) / math.sqrt(var + layer.eps_var)
-        out[i] = np_expmap0(gamma * t_hat + beta, p)
+        out[i] = np_expmap0(gamma * t_hat + beta)
     return out
 
 
@@ -211,8 +209,7 @@ def check_manifold_identities(cases: int = 1000, seed: int = 0,
     not boundary-clamped (clamping there would void the exact identity).
     """
     rng = np.random.default_rng(seed)
-    p = DEFAULT_PARAMS
-    hi = 1.0 - 2.0 * p.eps_ball
+    hi = 1.0 - 2.0 * DEFAULT_PARAMS.eps_ball
     dims = rng.integers(2, 9, size=cases)
     for i in range(cases):
         n = int(dims[i])
@@ -221,22 +218,22 @@ def check_manifold_identities(cases: int = 1000, seed: int = 0,
         zero = Tensor(np.zeros(n))
         xt, yt = Tensor(x), Tensor(y_small)
 
-        assert np.abs(mobius_add(xt, zero, p).data - x).max() < tol
-        assert np.abs(mobius_add(zero, xt, p).data - x).max() < tol
-        z = mobius_add(xt, yt, p)
-        back = mobius_add(Tensor(-x), z, p)
+        assert np.abs(mobius_add(xt, zero).data - x).max() < tol
+        assert np.abs(mobius_add(zero, xt).data - x).max() < tol
+        z = mobius_add(xt, yt)
+        back = mobius_add(Tensor(-x), z)
         assert np.abs(back.data - y_small).max() < tol
-        assert np.abs(mobius_add(Tensor(-x), xt, p).data).max() < tol
-        assert np.abs(mobius_matvec(Tensor(np.eye(n)), xt, p).data - x).max() < tol
+        assert np.abs(mobius_add(Tensor(-x), xt).data).max() < tol
+        assert np.abs(mobius_matvec(Tensor(np.eye(n)), xt).data - x).max() < tol
 
         v = rng.normal(size=n)
         vn = np.linalg.norm(v)
         if vn > 5.0:
             v *= rng.uniform(0.0, 5.0) / vn
-        rt = logmap0(expmap0(Tensor(v), p), p)
+        rt = logmap0(expmap0(Tensor(v)))
         assert np.abs(rt.data - v).max() < tol
         x_mod = random_ball_points(rng, (n,), max_norm=0.999)
-        rt2 = expmap0(logmap0(Tensor(x_mod), p), p)
+        rt2 = expmap0(logmap0(Tensor(x_mod)))
         assert np.abs(rt2.data - x_mod).max() < tol
     return cases
 
@@ -245,15 +242,14 @@ def check_matvec_formulations(cases: int = 1000, seed: int = 1,
                               tol: float = 1e-8) -> int:
     """mobius_matvec must coincide with expmap0(W . logmap0(x))."""
     rng = np.random.default_rng(seed)
-    p = DEFAULT_PARAMS
     for _ in range(cases):
         n = int(rng.integers(2, 8))
         m = int(rng.integers(2, 8))
         w = rng.normal(size=(m, n))
         x = random_ball_points(rng, (n,), max_norm=0.99)
-        direct = mobius_matvec(Tensor(w), Tensor(x), p).data
-        tangent = logmap0(Tensor(x), p).reshape(1, n) @ Tensor(w.T)
-        via_maps = expmap0(tangent, p).data.reshape(m)
+        direct = mobius_matvec(Tensor(w), Tensor(x)).data
+        tangent = logmap0(Tensor(x)).reshape(1, n) @ Tensor(w.T)
+        via_maps = expmap0(tangent).data.reshape(m)
         assert np.abs(direct - via_maps).max() < tol
     return cases
 
@@ -261,17 +257,16 @@ def check_matvec_formulations(cases: int = 1000, seed: int = 1,
 def check_ball_closure(cases: int = 200, seed: int = 2) -> int:
     """All producing ops keep norms <= 1 - eps_ball, incl. near-boundary inputs."""
     rng = np.random.default_rng(seed)
-    p = DEFAULT_PARAMS
-    limit = 1.0 - p.eps_ball + 1e-12
+    limit = 1.0 - DEFAULT_PARAMS.eps_ball + 1e-12
     for _ in range(cases):
         n = int(rng.integers(2, 8))
-        hi = 1.0 - 2.0 * p.eps_ball
+        hi = 1.0 - 2.0 * DEFAULT_PARAMS.eps_ball
         x = Tensor(random_ball_points(rng, (4, n), min_norm=0.5, max_norm=hi))
         y = Tensor(random_ball_points(rng, (4, n), min_norm=0.5, max_norm=hi))
         w = Tensor(rng.normal(size=(n, n)) * 2.0)
         v = Tensor(rng.normal(size=(4, n)) * 10.0)
-        for out in (mobius_add(x, y, p), mobius_matvec(w, x, p), expmap0(v, p),
-                    project_to_ball(Tensor(rng.normal(size=(4, n)) * 3.0), p)):
+        for out in (mobius_add(x, y), mobius_matvec(w, x), expmap0(v),
+                    project_to_ball(Tensor(rng.normal(size=(4, n)) * 3.0))):
             norms = np.sqrt((out.data ** 2).sum(axis=-1))
             assert norms.max() <= limit
     return cases
@@ -434,7 +429,6 @@ def _layer_entries():
     straddle it. The ``*_frames`` entries add a leading frame axis, as the
     pipeline runs the layers: token rows [T, n, D], condition [T, 1, D_f].
     """
-    p = DEFAULT_PARAMS
 
     def entry(name, build, module="hyperlayers"):
         def check(rng):
@@ -446,11 +440,11 @@ def _layer_entries():
         return Tensor(random_ball_points(rng, shape, min_norm=lo, max_norm=hi))
 
     def build_add(rng):
-        return (lambda a, b: mobius_add(a, b, p), [rows(rng, (4, 3)), rows(rng, (4, 3))])
+        return (mobius_add, [rows(rng, (4, 3)), rows(rng, (4, 3))])
 
     def build_matvec(rng):
         w = Tensor(rng.normal(size=(5, 3)) * 0.5)
-        return (lambda wm, x: mobius_matvec(wm, x, p), [w, rows(rng, (4, 3))])
+        return (mobius_matvec, [w, rows(rng, (4, 3))])
 
     def build_add_clamped(rng):
         # x (+) y for x, y near-collinear at norm 0.999 lands ~5e-7 from the
@@ -460,7 +454,7 @@ def _layer_entries():
         for t in (x, y):
             v = u + rng.normal(size=3) * 1e-3
             t.data[0] = 0.999 * v / np.linalg.norm(v)
-        return (lambda a, b: mobius_add(a, b, p), [x, y])
+        return (mobius_add, [x, y])
 
     def build_matvec_clamped(rng):
         # gain ~4: a row of norm 0.95 maps to tanh(~7.3), past the shell
@@ -468,7 +462,7 @@ def _layer_entries():
         w = Tensor(4.0 * np.eye(3) + rng.normal(size=(3, 3)) * 0.05)
         x = rows(rng, (4, 3), 0.3, 0.1)
         x.data[0] = random_ball_points(rng, (3,), min_norm=0.95, max_norm=0.95)
-        return (lambda wm, xx: mobius_matvec(wm, xx, p), [w, x])
+        return (mobius_matvec, [w, x])
 
     def build_linear(rng):
         layer = HyperbolicLinear(3, 5, rng)
@@ -506,18 +500,16 @@ def _layer_entries():
         return (lambda xx, *params: ext(xx), [x] + ext.parameters())
 
     yield entry("mobius_add", build_add)
-    yield entry("expmap0", lambda rng: (lambda v: expmap0(v, p),
-                                        [Tensor(rng.normal(size=(4, 3)))]))
-    yield entry("logmap0", lambda rng: (lambda x: logmap0(x, p), [rows(rng, (4, 3))]))
+    yield entry("expmap0", lambda rng: (expmap0, [Tensor(rng.normal(size=(4, 3)))]))
+    yield entry("logmap0", lambda rng: (logmap0, [rows(rng, (4, 3))]))
     yield entry("mobius_matvec", build_matvec)
     # a weight slice per block: w [2, 5, 3] against rows [T, 2, 4, 3]
-    yield entry("mobius_matvec_blocks", lambda rng: (lambda wm, x: mobius_matvec(wm, x, p), [
+    yield entry("mobius_matvec_blocks", lambda rng: (mobius_matvec, [
         Tensor(rng.normal(size=(2, 5, 3)) * 0.5), rows(rng, (3, 2, 4, 3))]))
     yield entry("project_to_ball_clamped", lambda rng: (
-        lambda x: project_to_ball(x, p), [rows(rng, (4, 3), 3.0, 1.2)]))
+        project_to_ball, [rows(rng, (4, 3), 3.0, 1.2)]))
     # tanh(n/2) passes 1 - eps_ball at n ~ 12.2
-    yield entry("expmap0_clamped", lambda rng: (
-        lambda v: expmap0(v, p), [rows(rng, (4, 3), 30.0, 15.0)]))
+    yield entry("expmap0_clamped", lambda rng: (expmap0, [rows(rng, (4, 3), 30.0, 15.0)]))
     yield entry("mobius_add_clamped", build_add_clamped)
     yield entry("mobius_matvec_clamped", build_matvec_clamped)
     yield entry("hyper_attention_frames", lambda rng: build_attention(rng, (3,)))

@@ -3,7 +3,7 @@
 Points live in the open unit ball (trailing axis is the embedding dimension,
 any leading batch axes). The curvature and margins are fixed: curvature 1, so
 all formulas are for the unit ball, and the margins of :data:`DEFAULT_PARAMS`,
-which every layer uses. Every producing operation ends with a clamp of
+which every op reads itself. Every producing operation ends with a clamp of
 trailing-vector norms to 1 - eps_ball (:func:`ball_clamp`), which keeps atanh
 (and therefore gradients) bounded.
 
@@ -58,7 +58,7 @@ class BallParams:
                 f"eps_norm must be in (0, eps_ball), got {self.eps_norm}")
 
 
-# The engine's ball margins; the ops take others only for tests and oracles.
+# The engine's ball margins; only ball_clamp (for SGD(ball=)) takes others.
 DEFAULT_PARAMS = BallParams()
 
 
@@ -66,8 +66,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))[..., None]
 
 
-def _smoothed_norm(x: np.ndarray, p: BallParams) -> np.ndarray:
-    return np.sqrt(_rowdot(x, x) + p.eps_norm * p.eps_norm)
+def _smoothed_norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_rowdot(x, x) + DEFAULT_PARAMS.eps_norm * DEFAULT_PARAMS.eps_norm)
 
 
 def _atanh(n: np.ndarray) -> np.ndarray:
@@ -84,13 +84,13 @@ def ball_clamp(z: np.ndarray, p: BallParams = DEFAULT_PARAMS
                ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Rescale trailing vectors of ``z`` with norm > 1 - eps_ball onto that shell.
 
-    Array-level core of every producing ball op and of the optimizer's
-    re-projection. Returns the clamped array and its vector-Jacobian
-    product: the identity on rows left inside, the radial-projection
-    Jacobian (1 - eps_ball) / ||z|| (I - u u^T), u = z / ||z||, on rescaled
-    rows. When no row is rescaled, ``z`` itself is returned. A row holding
-    NaN/Inf, or a finite row whose squared norm overflows (norm above about
-    1.3e154), raises :class:`NumericError`.
+    Array-level core of every producing ball op (default margins) and of the
+    optimizer's re-projection, whose ``ball=`` margins arrive as ``p``.
+    Returns the clamped array and its vector-Jacobian product: the identity on
+    rows left inside, the radial-projection Jacobian (1 - eps_ball) / ||z||
+    (I - u u^T), u = z / ||z||, on rescaled rows; ``z`` itself when no row is
+    rescaled. A row holding NaN/Inf, or a finite row whose squared norm
+    overflows (norm above about 1.3e154), raises :class:`NumericError`.
     """
     norms = np.sqrt(_rowdot(z, z))
     if not np.isfinite(norms).all():
@@ -110,18 +110,18 @@ def ball_clamp(z: np.ndarray, p: BallParams = DEFAULT_PARAMS
     return z * np.where(outside, ratio, 1.0), vjp
 
 
-def project_to_ball(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
+def project_to_ball(x: Tensor) -> Tensor:
     """Rescale trailing vectors with norm > 1 - eps_ball back onto that shell.
 
     Vectors already inside are untouched (identity gradient); rescaled
     vectors get the radial-projection Jacobian. See :func:`ball_clamp`.
     """
     x = T.as_tensor(x)
-    data, vjp = ball_clamp(x.data, p)
+    data, vjp = ball_clamp(x.data)
     return T._make(data, "project_to_ball", (x,), lambda g: (vjp(g),))
 
 
-def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
+def mobius_add(x: Tensor, y: Tensor) -> Tensor:
     """Möbius addition x (+) y, projected back to the ball.
 
     Closed form:
@@ -139,7 +139,7 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     b = 1.0 - x2
     num = a * xd + b * yd
     den = 1.0 + 2.0 * xy + x2 * y2
-    data, vjp = ball_clamp(num / den, p)
+    data, vjp = ball_clamp(num / den)
 
     def backward(g):
         xd, yd = x.data, y.data
@@ -159,7 +159,7 @@ def mobius_add(x: Tensor, y: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     return T._make(data, "mobius_add", (x, y), backward)
 
 
-def expmap0(v: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
+def expmap0(v: Tensor) -> Tensor:
     """Exponential map at the origin: tanh(||v||/2) v / ||v||.
 
     Maps tangent (Euclidean) vectors onto the ball; the origin maps to
@@ -168,10 +168,10 @@ def expmap0(v: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     """
     v = T.as_tensor(v)
     vd = v.data
-    n = _smoothed_norm(vd, p)
+    n = _smoothed_norm(vd)
     t = np.tanh(0.5 * n)
     s = t / n
-    data, vjp = ball_clamp(vd * s, p)
+    data, vjp = ball_clamp(vd * s)
 
     def backward(g):
         gz = vjp(g)
@@ -182,14 +182,14 @@ def expmap0(v: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     return T._make(data, "expmap0", (v,), backward)
 
 
-def logmap0(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
+def logmap0(x: Tensor) -> Tensor:
     """Logarithmic map at the origin: 2 atanh(||x||) x / ||x||.
 
     Exact inverse of :func:`expmap0` away from the clamp shell.
     """
     x = T.as_tensor(x)
     xd = x.data
-    n = _smoothed_norm(xd, p)
+    n = _smoothed_norm(xd)
     m = 2.0 * _atanh(n)
     s = m / n
 
@@ -202,7 +202,7 @@ def logmap0(x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
     return T._make(xd * s, "logmap0", (x,), backward)
 
 
-def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tensor:
+def mobius_matvec(w: Tensor, x: Tensor) -> Tensor:
     """Möbius matrix-vector product W (x)_M x.
 
     tanh((||Wx|| / ||x||) atanh(||x||)) Wx / ||Wx||, equivalently
@@ -216,13 +216,13 @@ def mobius_matvec(w: Tensor, x: Tensor, p: BallParams = DEFAULT_PARAMS) -> Tenso
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")
     xd = np.ascontiguousarray(x.data)
     y = xd @ w.data.mT
-    nx = _smoothed_norm(xd, p)
-    ny = _smoothed_norm(y, p)
+    nx = _smoothed_norm(xd)
+    ny = _smoothed_norm(y)
     atx = _atanh(nx)
     r = ny / nx
     t = np.tanh(r * atx)
     s = t / ny
-    data, vjp = ball_clamp(y * s, p)
+    data, vjp = ball_clamp(y * s)
 
     def rows(a):  # [..., n] -> the rows each weight slice sees: [rows, n] or [B, rows, n]
         lead = w.shape[:-2]

@@ -82,7 +82,7 @@ def test_criterion_4_check_flags_a_planted_violation(ball_norms, monkeypatch):
     # this is the violation only the observer can see
     clamp = manifold.ball_clamp
 
-    def leaky_clamp(z, p):
+    def leaky_clamp(z, p=manifold.DEFAULT_PARAMS):
         out, vjp = clamp(z, p)
         out = out.copy()
         row = out.reshape(-1, out.shape[-1])[0]

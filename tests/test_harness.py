@@ -299,8 +299,9 @@ def test_train_with_zero_steps_writes_one_loss_and_the_initial_state(tmp_path):
     assert all(saved[k].tobytes() == v.tobytes() for k, v in initial.items())
 
 
-def test_sgd_step_clamps_ball_rows_onto_the_shell():
-    ball = BallParams()
+@pytest.mark.parametrize("ball", [BallParams(), BallParams(eps_ball=1e-3)],
+                         ids=["default", "eps_ball_1e-3"])
+def test_sgd_step_clamps_ball_rows_onto_the_shell(ball):
     b = Tensor(np.array([[0.3, -0.2, 0.1], [0.9, 0.3, 0.0]]), requires_grad=True)
     b.grad = np.array([[0.1, 0.2, -0.3], [-1.0, -0.5, 0.0]])
     inside = b.data[0] - 0.5 * b.grad[0]

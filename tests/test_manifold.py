@@ -21,9 +21,7 @@ def test_ball_params_validation():
         BallParams(eps_ball=1e-5, eps_norm=1e-4)
 
 
-@pytest.mark.parametrize("params", [DEFAULT_PARAMS, BallParams(eps_ball=1e-4, eps_norm=1e-7)],
-                         ids=["wide", "narrow"])
-def test_np_mobius_add_matches_mobius_add_row_by_row(params):
+def test_np_mobius_add_matches_mobius_add_row_by_row():
     # the loop reference of the eval_long benchmark check; the last rows add
     # near-parallel points close to the boundary, whose sum lands past the shell
     rng = np.random.default_rng(15)
@@ -32,12 +30,12 @@ def test_np_mobius_add_matches_mobius_add_row_by_row(params):
     u = random_ball_points(rng, (16, 5), 1.0, 1.0)
     x[48:] = u * 0.999
     y[48:] = (u + rng.normal(size=u.shape) * 1e-3) * 0.998
-    shell = 1.0 - params.eps_ball
-    raw = mobius_add(Tensor(x), Tensor(y), BallParams(eps_ball=1e-9, eps_norm=1e-12)).data
+    shell = 1.0 - DEFAULT_PARAMS.eps_ball
+    raw = np.stack([np_mobius_add(a, b, BallParams(eps_ball=1e-9)) for a, b in zip(x, y)])
     assert (np.linalg.norm(raw, axis=-1) > shell).sum() >= 8
-    got = mobius_add(Tensor(x), Tensor(y), params).data
+    got = mobius_add(Tensor(x), Tensor(y)).data
     for i in range(len(x)):
-        np.testing.assert_allclose(got[i], np_mobius_add(x[i], y[i], params), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[i], np_mobius_add(x[i], y[i]), rtol=0, atol=1e-12)
 
 
 def test_mobius_add_identity():
@@ -104,13 +102,11 @@ def test_logmap0_inverts_expmap0():
 
 
 def test_project_to_ball_cases():
-    p = DEFAULT_PARAMS
     inside = Tensor([0.3, 0.4])
-    np.testing.assert_array_equal(project_to_ball(inside, p).data, inside.data)
-    outside = project_to_ball(Tensor([3.0, 4.0]), p)
+    np.testing.assert_array_equal(project_to_ball(inside).data, inside.data)
+    outside = project_to_ball(Tensor([3.0, 4.0]))
     np.testing.assert_allclose(outside.data, [0.599994, 0.799992], atol=1e-12)
-    np.testing.assert_array_equal(project_to_ball(Tensor(np.zeros(2)), p).data,
-                                  np.zeros(2))
+    np.testing.assert_array_equal(project_to_ball(Tensor(np.zeros(2))).data, np.zeros(2))
 
 
 def test_project_to_ball_rejects_nonfinite():

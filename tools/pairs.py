@@ -1,11 +1,13 @@
 """Paired benchmark runs of a parent revision against this checkout.
 
-The parent's committed files are exported (``git archive``) into a temporary
-directory, which is removed at the end. Pair ``i`` (from 0) runs
-``bench/run.py --trace 0`` once in each tree, on seed ``1 + i``, for every
-workload; the side that runs first alternates from pair to pair, so that a
-drift of the host's speed falls on both sides alike. Each tree runs its own
-``bench/``.
+Both sides run from exports (``git archive``) in one temporary directory,
+which is removed at the end: the parent's committed files, and a snapshot of
+this checkout that ``git stash create`` makes, uncommitted edits to tracked
+files included. So both sides run from the same kind of location, and what
+runs is what is hashed. Pair ``i`` (from 0) runs ``bench/run.py --trace 0``
+once in each tree, on seed ``1 + i``, for every workload; the side that runs
+first alternates from pair to pair, so that a drift of the host's speed falls
+on both sides alike. Each tree runs its own ``bench/``.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout. Per workload and
 end-to-end metric of ``BENCHMARK.json`` it holds the parent's and the
@@ -13,9 +15,8 @@ change's median and quartiles, the change's wins (pairs in which it is
 better), the relative change of the medians, the metric's bound, and whether
 the claim rule below holds; then every run's raw result and the host's CPU
 count. Each side's revision is its commit and the git tree hashes of the
-``src`` and ``bench`` it ran; for this checkout those hash the files as they
-are on disk, uncommitted edits included, so ``git rev-parse REV:src`` tells
-whether a commit holds the measured code.
+``src`` and ``bench`` it ran; for this checkout those hash the snapshot, so
+``git rev-parse REV:src`` tells whether a commit holds the measured code.
 
 Usage::
 
@@ -25,7 +26,8 @@ Usage::
 ``--pairs`` defaults to 10 and ``--seconds`` to the benchmark's run length.
 
 Exits 1 if any run fails or reports an incorrect result; the file is
-written either way.
+written either way. Exits 2 before any run if ``src/`` or ``bench/`` holds an
+untracked file, which the snapshot would leave out.
 """
 
 from __future__ import annotations
@@ -60,12 +62,13 @@ def export(rev: str, dest: Path) -> None:
         files.extractall(dest)
 
 
-def revision(rev: str | None) -> dict:
-    """The commit of ``rev`` and the tree hashes of its ``src`` and ``bench``;
-    ``None`` is this checkout, hashed as it is on disk."""
+def revision(rev: str | None) -> tuple[dict, str]:
+    """The commit of ``rev`` and the tree hashes of its ``src`` and ``bench``,
+    and the commit to export; ``None`` is this checkout as it is on disk."""
     commit = git("rev-parse", rev or "HEAD")
     snapshot = rev or git("stash", "create") or commit
-    return {"commit": commit, **{d: git("rev-parse", f"{snapshot}:{d}") for d in ("src", "bench")}}
+    trees = {d: git("rev-parse", f"{snapshot}:{d}") for d in ("src", "bench")}
+    return {"commit": commit, **trees}, snapshot
 
 
 def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,12 +114,19 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
 
-    revisions = {"parent": revision(args.parent), "change": revision(None)}
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "bench")
+    if untracked:
+        parser.error("untracked files would be left out of the change's snapshot: "
+                     + ", ".join(untracked.splitlines()))
+
+    revisions, snapshots = {}, {}
+    for side, rev in (("parent", args.parent), ("change", None)):
+        revisions[side], snapshots[side] = revision(rev)
     runs: dict[str, list[dict]] = {w: [] for w in args.workloads}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        export(revisions["parent"]["commit"], parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = {side: Path(tmp) / side for side in snapshots}
+        for side, snapshot in snapshots.items():
+            export(snapshot, roots[side])
         for i in range(args.pairs):
             seed = 1 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
