@@ -1,9 +1,14 @@
 """Binary tensor files, JSON-manifest checkpoints, and the atomic file
 write every artifact goes through.
 
-File layout: 8-byte magic ``GYMTENSR``, u32 rank, u32 dims[rank], then
-little-endian float64 payload in row-major order. Round-trips are
+Tensor file layout: 8-byte magic ``GYMTENSR``, u32 rank, u32 dims[rank],
+then little-endian float64 payload in row-major order. Round-trips are
 bit-exact.
+
+A checkpoint directory holds ``manifest.json``, which maps each entry name
+to ``{"shape": [...]}``, and one rank-1 tensor file, ``tensors.gymt``, of
+every entry's values in sorted-name order. The former per-file layout (a
+``"file"`` key per entry) is refused, naming its first entry.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .errors import ContractError
 
 MAGIC = b"GYMTENSR"
+PAYLOAD = "tensors.gymt"
 
 
 @contextmanager
@@ -54,9 +60,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def save_tensor(path: str | Path, array: np.ndarray) -> None:
     arr = np.asarray(array, dtype="<f8")  # tobytes() is row-major; keeps 0-d shapes
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(MAGIC + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
         fh.write(arr.tobytes())
 
 
@@ -85,30 +89,23 @@ def load_tensor(path: str | Path) -> np.ndarray:
             raise ContractError(f"{path}: {exc}") from None
 
 
-def _file_name(name: str) -> str:
-    return name.replace("/", "_").replace(".", "_") + ".gymt"
-
-
 def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Path:
-    """Write one binary file per parameter plus a JSON manifest; returns manifest path."""
-    owners: dict[str, str] = {}
-    for name in sorted(params):
-        other = owners.setdefault(_file_name(name), name)
-        if other != name:
-            raise ContractError(
-                f"parameters {other!r} and {name!r} map to one file {_file_name(name)!r}")
+    """Write the arrays as one payload file plus a JSON manifest of their
+    shapes; returns the manifest path."""
+    arrays = {name: np.asarray(params[name], dtype="<f8") for name in sorted(params)}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     mpath = directory / "manifest.json"
-    # the old manifest goes before any file is rewritten and the new one comes
-    # last: an overwrite cut short leaves no manifest, never one over mixed files
+    # the old manifest goes before the payload is replaced and the new one
+    # comes last: a save cut short leaves no manifest, never one over another payload
     mpath.unlink(missing_ok=True)
-    manifest = {}
-    for fname, name in owners.items():
-        save_tensor(directory / fname, params[name])
-        manifest[name] = {"file": fname, "shape": list(params[name].shape)}
+    with atomic_write(directory / PAYLOAD, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<2I", 1, sum(a.size for a in arrays.values())))
+        for a in arrays.values():  # one array at a time: no concatenated copy
+            fh.write(np.ascontiguousarray(a))
     with atomic_write(mpath) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({name: {"shape": list(a.shape)} for name, a in arrays.items()},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     return mpath
 
@@ -122,25 +119,26 @@ def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
             raise ContractError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ContractError(f"{manifest_path}: manifest must be a JSON object")
-    out = {}
-    owners: dict[str, str] = {}
     for name, entry in manifest.items():
         # a bool or a float would compare equal to an int dimension
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(d) is int for d in entry["shape"])):
-            raise ContractError(f"checkpoint entry {name}: needs a string \"file\" "
-                                "and a \"shape\" list of integers")
-        fname = entry["file"]
-        if fname in ("", "..") or Path(fname).name != fname or not fname.isprintable():
-            raise ContractError(
-                f"checkpoint entry {name}: file {fname!r} is not a file name "
-                "in the manifest's directory")
-        other = owners.setdefault(fname, name)
-        if other != name:
-            raise ContractError(f"checkpoint entries {other} and {name} name one file {fname!r}")
-        arr = load_tensor(manifest_path.parent / fname)
-        if list(arr.shape) != entry["shape"]:
-            raise ContractError(f"checkpoint entry {name}: shape mismatch")
-        out[name] = arr
+        if not (isinstance(entry, dict) and list(entry) == ["shape"]
+                and isinstance(entry["shape"], list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            old = isinstance(entry, dict) and "file" in entry
+            raise ContractError(f"checkpoint entry {name}: needs only a \"shape\" list of integers"
+                                " >= 0" + (" (the per-file layout is no longer read)" * old))
+    payload = load_tensor(manifest_path.parent / PAYLOAD)
+    if payload.ndim != 1:
+        raise ContractError(f"{manifest_path.parent / PAYLOAD}: rank {payload.ndim}, not 1")
+    sizes = {name: math.prod(manifest[name]["shape"]) for name in sorted(manifest)}
+    if sum(sizes.values()) != payload.size:
+        raise ContractError(f"{manifest_path}: the shapes hold {sum(sizes.values())} values, "
+                            f"the payload {payload.size}")
+    out, start = {}, 0
+    for name, size in sizes.items():
+        try:
+            out[name] = payload[start:start + size].reshape(manifest[name]["shape"])
+        except ValueError as exc:  # more axes than numpy supports
+            raise ContractError(f"checkpoint entry {name}: {exc}") from None
+        start += size
     return out

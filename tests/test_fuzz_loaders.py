@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ConfigError, ContractError, HypermeshError
 from hypermesh.synth import load_scene, save_scene, synth_generate
-from hypermesh.tensor_io import (MAGIC, load_checkpoint, load_tensor, save_checkpoint,
-                                 save_tensor)
+from hypermesh.tensor_io import (MAGIC, PAYLOAD, load_checkpoint, load_tensor,
+                                 save_checkpoint, save_tensor)
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -88,21 +88,14 @@ def test_config_load_round_trips_or_raises_config_error(blob):
     _roundtrip_file(blob, "config.json", check)
 
 
-# names a damaged manifest entry may give as its file: ones that leave the
-# directory, name no file or the manifest, or no path can hold
-_ODD_FILES = ["", ".", "..", "../w.gymt", "a/w.gymt", "manifest.json", "none.gymt",
-              "\x00.gymt", "\ud800.gymt", "x" * 300 + ".gymt"]
-
-
-def _damage(data, directory: Path) -> dict[str, np.ndarray]:
+def _damage(data, directory: Path) -> np.ndarray:
     """Leaves the checkpoint in ``directory`` as it is or damages one thing:
-    the manifest (other bytes, other JSON, one edited entry) or one tensor
-    file (cut short, extended, removed, or replaced by another array with
-    its manifest shape to match). Returns each file's array as last written."""
-    manifest = directory / "manifest.json"
+    the manifest (other bytes, other JSON, one edited entry) or the payload
+    file (cut short, extended, removed, or replaced by another array). Returns
+    the payload array as last written."""
+    manifest, path = directory / "manifest.json", directory / PAYLOAD
     entries = json.loads(manifest.read_text())
-    written = {e["file"]: load_tensor(directory / e["file"]) for e in entries.values()}
-    files = sorted(written)
+    payload = load_tensor(path)
     kind = data.draw(st.sampled_from(
         ["none", "bytes", "json", "entry", "cut", "extend", "remove", "replace"]))
     if kind == "bytes":
@@ -112,38 +105,37 @@ def _damage(data, directory: Path) -> dict[str, np.ndarray]:
     elif kind == "entry":
         name = data.draw(st.sampled_from(sorted(entries)))
         entries[name] = data.draw(st.fixed_dictionaries({}, optional={
-            "file": st.sampled_from(files + _ODD_FILES) | _JSON,
             "shape": st.just(entries[name]["shape"]) | st.lists(st.integers(-1, 12),
-                                                                max_size=3) | _JSON}))
+                                                                max_size=3) | _JSON,
+            "file": st.just(name + ".gymt") | _JSON}))
         manifest.write_text(json.dumps(entries))
-    elif kind != "none":
-        name = data.draw(st.sampled_from(sorted(entries)))
-        path = directory / entries[name]["file"]
+    elif kind == "cut":
         blob = path.read_bytes()
-        if kind == "cut":
-            path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
-        elif kind == "extend":
-            path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=16)))
-        elif kind == "remove":
-            path.unlink()
-        else:
-            shape = data.draw(st.lists(st.integers(0, 12), max_size=3))
-            value = data.draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, np.nan, np.inf]))
-            written[path.name] = np.full(shape, value)
-            save_tensor(path, written[path.name])
-            entries[name]["shape"] = shape
-            manifest.write_text(json.dumps(entries))
-    return written
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    elif kind == "extend":
+        path.write_bytes(path.read_bytes() + data.draw(st.binary(min_size=1, max_size=16)))
+    elif kind == "remove":
+        path.unlink()
+    elif kind == "replace":
+        shape = data.draw(st.just([payload.size]) | st.lists(st.integers(0, 12), max_size=3))
+        value = data.draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, np.nan, np.inf]))
+        payload = np.full(shape, value)
+        save_tensor(path, payload)
+    return payload
 
 
-def _as_written(loaded: dict, manifest: Path, written: dict) -> None:
-    """A load that succeeded gives the manifest's names, each with the array
-    last written to the file its entry names."""
+def _as_written(loaded: dict, manifest: Path, payload: np.ndarray) -> None:
+    """A load that succeeded gives the manifest's names, each with its shape
+    and its run of the rank-1 payload last written, taken in sorted-name order."""
     entries = json.loads(manifest.read_text())
-    assert sorted(loaded) == sorted(entries)
-    for name, arr in loaded.items():
-        want = written[entries[name]["file"]]
-        assert arr.shape == want.shape and np.array_equal(arr, want, equal_nan=True)
+    assert sorted(loaded) == sorted(entries) and payload.ndim == 1
+    start = 0
+    for name in sorted(entries):
+        want = payload[start:start + math.prod(entries[name]["shape"])]
+        start += want.size
+        assert loaded[name].shape == tuple(entries[name]["shape"])
+        assert np.array_equal(loaded[name].ravel(), want, equal_nan=True)
+    assert start == payload.size
 
 
 def _load_or_raise(load, *args):
@@ -169,10 +161,10 @@ def test_load_checkpoint_round_trips_or_raises(data):
         size=data.draw(st.lists(st.integers(0, 3), max_size=3))) for name in names}
     with tempfile.TemporaryDirectory() as d:
         manifest = save_checkpoint(Path(d) / "ckpt", params)
-        written = _damage(data, manifest.parent)
+        payload = _damage(data, manifest.parent)
         loaded = _load_or_raise(load_checkpoint, manifest)
         if loaded is not None:
-            _as_written(loaded, manifest, written)
+            _as_written(loaded, manifest, payload)
 
 
 @FUZZ
@@ -182,7 +174,7 @@ def test_load_scene_round_trips_or_raises(data):
                          n_coarse=3, n_fine=4, seed=data.draw(st.integers(0, 99)))
     with tempfile.TemporaryDirectory() as d:
         directory = save_scene(synth_generate(cfg), Path(d) / "scene")
-        written = _damage(data, directory)
+        payload = _damage(data, directory)
         scene = _load_or_raise(load_scene, directory)
         if scene is not None:
             topo = scene.topology
@@ -190,4 +182,4 @@ def test_load_scene_round_trips_or_raises(data):
                          "fine_meshes": scene.fine_meshes, "feats": scene.feats,
                          "regressor": scene.regressor.matrix, "upsampler": topo.upsampler,
                          "edges": topo.edges, "faces": topo.faces},
-                        directory / "manifest.json", written)
+                        directory / "manifest.json", payload)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -146,29 +147,66 @@ def test_tensor_io_keeps_a_zero_dim_shape(tmp_path):
     assert back.shape == () and back == 2.5
 
 
-def test_checkpoint_file_entry_must_stay_in_its_directory(tmp_path):
-    save_tensor(tmp_path / "outside.gymt", np.ones(2))
-    manifest = save_checkpoint(tmp_path / "ckpt", {"w": np.ones(2)})
-    for bad in ("../outside.gymt", str(tmp_path / "outside.gymt"), "..", "",
-                "\x00.gymt", "\ud800.gymt"):
-        manifest.write_text(json.dumps({"w": {"file": bad, "shape": [2]}}))
-        with pytest.raises(ContractError, match="not a file name"):
-            load_checkpoint(manifest)
+def test_checkpoint_is_a_manifest_and_one_payload(tmp_path):
+    # "a.b_c" and "a_b.c" once mapped to one file name
+    rng = np.random.default_rng(4)
+    params = {"b": rng.normal(size=(2, 3)), "a.b_c": rng.normal(size=4),
+              "a_b.c": rng.normal(size=1), "zero_d": np.float64(-0.0), "empty": np.zeros((0, 3))}
+    manifest = save_checkpoint(tmp_path / "ckpt", params)
+    assert sorted(f.name for f in manifest.parent.iterdir()) == ["manifest.json", "tensors.gymt"]
+    assert json.loads(manifest.read_text()) == {k: {"shape": list(np.shape(v))}
+                                                for k, v in params.items()}
+    values = b"".join(np.asarray(params[k], dtype="<f8").tobytes() for k in sorted(params))
+    assert (manifest.parent / "tensors.gymt").read_bytes() == (
+        tensor_io.MAGIC + struct.pack("<2I", 1, len(values) // 8) + values)
+    # the payload's order is the names' sorted order, whatever the manifest's
+    manifest.write_text(json.dumps(dict(reversed(json.loads(manifest.read_text()).items()))))
+    back = load_checkpoint(manifest)
+    assert list(back) == sorted(params)
+    for k, v in params.items():
+        assert back[k].shape == np.shape(v) and back[k].tobytes() == np.asarray(v).tobytes(), k
+    assert load_checkpoint(save_checkpoint(tmp_path / "none", {})) == {}
 
 
-@pytest.mark.parametrize("array, shape", [(np.ones(2), [2.0]), (np.ones(1), [True])],
-                         ids=["float", "bool"])
-def test_checkpoint_shape_entries_must_be_ints(tmp_path, array, shape):
-    manifest = save_checkpoint(tmp_path / "ckpt", {"w": array})
-    manifest.write_text(json.dumps({"w": {"file": "w.gymt", "shape": shape}}))
-    with pytest.raises(ContractError, match="list of integers"):
+@pytest.mark.parametrize("damage, error, match", [
+    (lambda p: p.unlink(), FileNotFoundError, "tensors.gymt"),
+    (lambda p: p.write_bytes(p.read_bytes()[:-8]), ContractError, "truncated payload"),
+    (lambda p: p.write_bytes(p.read_bytes() + bytes(8)), ContractError, "trailing bytes"),
+    (lambda p: save_tensor(p, np.ones((2, 2))), ContractError, "rank 2, not 1"),
+    (lambda p: save_tensor(p, np.float64(1.0)), ContractError, "rank 0, not 1"),
+], ids=["missing", "truncated", "trailing_bytes", "rank_2", "rank_0"])
+def test_checkpoint_refuses_a_damaged_payload(tmp_path, damage, error, match):
+    manifest = save_checkpoint(tmp_path / "ckpt", {"w": np.ones(4)})
+    damage(manifest.parent / "tensors.gymt")
+    with pytest.raises(error, match=match):
         load_checkpoint(manifest)
 
 
-def test_checkpoint_refuses_colliding_file_names(tmp_path):
-    with pytest.raises(ContractError, match="one file"):
-        save_checkpoint(tmp_path / "ckpt", {"a.b_c": np.ones(1), "a_b.c": np.full(1, 2.0)})
-    assert not (tmp_path / "ckpt").exists()
+@pytest.mark.parametrize("shape, held", [([3], 5), ([1], 3)], ids=["more", "fewer"])
+def test_checkpoint_shapes_must_tile_the_payload(tmp_path, shape, held):
+    manifest = save_checkpoint(tmp_path / "ckpt", {"v": np.ones(2), "w": np.ones(2)})
+    manifest.write_text(json.dumps({"v": {"shape": [2]}, "w": {"shape": shape}}))
+    with pytest.raises(ContractError, match=f"the shapes hold {held} values, the payload 4"):
+        load_checkpoint(manifest)
+
+
+@pytest.mark.parametrize("array, shape", [(np.ones(2), [2.0]), (np.ones(1), [True]),
+                                          (np.ones(1), [-1, -1])],
+                         ids=["float", "bool", "negative"])
+def test_checkpoint_shape_entries_must_be_ints(tmp_path, array, shape):
+    manifest = save_checkpoint(tmp_path / "ckpt", {"w": array})
+    manifest.write_text(json.dumps({"w": {"shape": shape}}))
+    with pytest.raises(ContractError, match="list of integers >= 0"):
+        load_checkpoint(manifest)
+
+
+@pytest.mark.parametrize("entry", [{"file": "w.gymt", "shape": [2]}, {"shape": [2], "dtype": "<f8"},
+                                   {}], ids=["file", "dtype", "no_shape"])
+def test_checkpoint_entry_holds_only_a_shape(tmp_path, entry):
+    manifest = save_checkpoint(tmp_path / "ckpt", {"v": np.ones(2), "w": np.ones(2)})
+    manifest.write_text(json.dumps({"v": {"shape": [2]}, "w": entry}))
+    with pytest.raises(ContractError, match="checkpoint entry w: needs only a \"shape\""):
+        load_checkpoint(manifest)
 
 
 def test_atomic_write_cut_short_keeps_the_previous_file(tmp_path):
@@ -183,25 +221,40 @@ def test_atomic_write_cut_short_keeps_the_previous_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["w.gymt"]
 
 
+def _disk_fills_after(monkeypatch, writes: int) -> None:
+    """Writes through ``tensor_io.atomic_write`` raise OSError("disk full")
+    once ``writes`` of them went through."""
+    real, done = tensor_io.atomic_write, []
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            if len(done) == writes:
+                raise OSError("disk full")
+            done.append(data)
+            return self.fh.write(data)
+
+    @contextmanager
+    def filling(path, mode="w"):
+        with real(path, mode) as fh:
+            yield Full(fh)
+
+    monkeypatch.setattr(tensor_io, "atomic_write", filling)
+
+
 def test_checkpoint_overwrite_cut_short_leaves_no_mixed_manifest(tmp_path, monkeypatch):
     params = {"a": np.ones(2), "b": np.ones(3)}
     manifest = save_checkpoint(tmp_path / "ckpt", params)
-    b_before = (tmp_path / "ckpt" / "b.gymt").read_bytes()
-    written = []
-
-    def save_then_fail(path, array):
-        if written:
-            raise OSError("disk full")
-        written.append(path)
-        save_tensor(path, array)
-
-    monkeypatch.setattr(tensor_io, "save_tensor", save_then_fail)
+    payload_before = (tmp_path / "ckpt" / "tensors.gymt").read_bytes()
+    _disk_fills_after(monkeypatch, 2)  # the header and "a"
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(tmp_path / "ckpt", {k: v * 2.0 for k, v in params.items()})
-    # "a" was rewritten, "b" was not: no manifest may describe that mix
+    # the payload was not replaced: no manifest may describe it as the new one
     assert not manifest.exists()
-    assert (tmp_path / "ckpt" / "b.gymt").read_bytes() == b_before
-    assert sorted(f.name for f in (tmp_path / "ckpt").iterdir()) == ["a.gymt", "b.gymt"]
+    assert (tmp_path / "ckpt" / "tensors.gymt").read_bytes() == payload_before
+    assert sorted(f.name for f in (tmp_path / "ckpt").iterdir()) == ["tensors.gymt"]
 
 
 def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
@@ -210,10 +263,8 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
     m1 = save_checkpoint(tmp_path / "c1", params)
     m2 = save_checkpoint(tmp_path / "c2", load_checkpoint(m1))
     assert m1.read_bytes() == m2.read_bytes()
-    for entry in json.loads(m1.read_text()).values():
-        f1 = (tmp_path / "c1" / entry["file"]).read_bytes()
-        f2 = (tmp_path / "c2" / entry["file"]).read_bytes()
-        assert f1 == f2
+    assert ((tmp_path / "c1" / "tensors.gymt").read_bytes()
+            == (tmp_path / "c2" / "tensors.gymt").read_bytes())
 
 
 # ---------------------------------------------------------------- synth
@@ -243,15 +294,7 @@ def test_scene_save_load_roundtrip(tmp_path):
 def test_scene_save_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
     scene = synth_generate(_small_cfg())
     save_scene(scene, tmp_path / "scene")
-    written = []
-
-    def save_then_fail(path, array):
-        if len(written) == 2:
-            raise OSError("disk full")
-        written.append(path)
-        save_tensor(path, array)
-
-    monkeypatch.setattr(tensor_io, "save_tensor", save_then_fail)
+    _disk_fills_after(monkeypatch, 3)
     with pytest.raises(OSError, match="disk full"):
         save_scene(scene, tmp_path / "scene")
     assert not (tmp_path / "scene" / "manifest.json").exists()
@@ -473,17 +516,17 @@ def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize("manifest", [
-    '[{"file": "template.gymt", "shape": [6, 3]}]',
+    '[{"shape": [6, 3]}]',
     '{"template": 3}',
     '{"template": {"shape": [6, 3]}}',
-    '{"template": {"file": "template.gymt"}}',
+    '{"template": {}}',
     '{"template": ',
     "[" * 100_000,
     lambda m: m["template"].update(shape=[6.0, 3.0]),
-    lambda m: m["prior.gru_aft.w_r"].update(file=m["prior.gru_aft.w_z"]["file"]),
+    lambda m: m["prior.gru_aft.w_r"].update(file="prior_gru_aft_w_r.gymt"),
     lambda m: m["template"].update(shape=[3, 6]),
-], ids=["top_level_list", "entry_not_object", "no_file", "no_shape", "not_json",
-        "nested_too_deep", "float_shape", "file_named_twice", "shape_disagrees_with_file"])
+], ids=["top_level_list", "entry_not_object", "fewer_entries", "no_shape", "not_json",
+        "nested_too_deep", "float_shape", "per_file_entry", "shape_disagrees_with_file"])
 def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
@@ -499,13 +542,12 @@ def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
 
 
 def test_cli_eval_refuses_a_manifest_entry_given_twice(tmp_path, capsys):
-    # json alone keeps the last copy: hpo.head.b would load hmo.head.b's array
+    # json alone keeps the last copy, so an entry of the same shape given
+    # twice would load unseen
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
                            build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
-    (path.parent / "extra.gymt").write_bytes((path.parent / "hmo_head_b.gymt").read_bytes())
-    path.write_text(path.read_text().rstrip()[:-1]
-                    + ', "hpo.head.b": {"file": "extra.gymt", "shape": [3]}}\n')
+    path.write_text(path.read_text().rstrip()[:-1] + ', "hpo.head.b": {"shape": [3]}}\n')
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
                  "--report", str(tmp_path / "report.csv")]) == 5
     err = json.loads(capsys.readouterr().err.strip())
@@ -538,16 +580,10 @@ def _edit_manifest(scene_dir, edit):
     path.write_text(json.dumps(manifest))
 
 
-def _file_outside(scene_dir):
-    (scene_dir.parent / "other").mkdir()
-    save_tensor(scene_dir.parent / "other" / "poses.gymt", load_tensor(scene_dir / "poses.gymt"))
-    _edit_manifest(scene_dir, lambda m: m["poses"].update(file="../other/poses.gymt"))
-
-
-def _flat_upsampler(scene_dir):
-    upsampler = load_tensor(scene_dir / "upsampler.gymt")
-    save_tensor(scene_dir / "upsampler.gymt", upsampler.ravel())
-    _edit_manifest(scene_dir, lambda m: m["upsampler"].update(shape=[upsampler.size]))
+def _edit_arrays(scene_dir, edit):
+    arrays = load_checkpoint(scene_dir / "manifest.json")
+    edit(arrays)
+    save_checkpoint(scene_dir, arrays)
 
 
 def _old_layout(scene_dir):
@@ -556,15 +592,14 @@ def _old_layout(scene_dir):
 
 
 @pytest.mark.parametrize("corrupt, code", [
-    (lambda d: _edit_manifest(d, lambda m: m.pop("feats")), 5),
-    (_file_outside, 5),
-    (lambda d: save_tensor(d / "faces.gymt", load_tensor(d / "faces.gymt") + 0.5), 5),
-    (_flat_upsampler, 5),
+    (lambda d: _edit_arrays(d, lambda a: a.pop("feats")), 5),
+    (lambda d: _edit_arrays(d, lambda a: a.update(faces=a["faces"] + 0.5)), 5),
+    (lambda d: _edit_arrays(d, lambda a: a.update(upsampler=a["upsampler"].ravel())), 5),
     (_old_layout, 4),
-    (lambda d: save_tensor(d / "poses.gymt", load_tensor(d / "poses.gymt") * np.nan), 5),
-    (lambda d: save_tensor(d / "upsampler.gymt", load_tensor(d / "upsampler.gymt") + np.inf), 5),
-], ids=["missing_array", "file_outside", "fractional_face", "flat_upsampler",
-        "old_layout", "nan_poses", "infinite_upsampler"])
+    (lambda d: _edit_arrays(d, lambda a: a.update(poses=a["poses"] * np.nan)), 5),
+    (lambda d: _edit_arrays(d, lambda a: a.update(upsampler=a["upsampler"] + np.inf)), 5),
+], ids=["missing_array", "fractional_face", "flat_upsampler", "old_layout", "nan_poses",
+        "infinite_upsampler"])
 def test_cli_eval_malformed_scene_exit_code(tmp_path, capsys, corrupt, code):
     cfg_path = _write_cfg(tmp_path)
     save_scene(synth_generate(_small_cfg()), tmp_path / "scene")
@@ -577,6 +612,58 @@ def test_cli_eval_malformed_scene_exit_code(tmp_path, capsys, corrupt, code):
     assert err["error"] == {4: "io", 5: "contract"}[code]
     if code == 4:
         assert "manifest.json" in err["message"]
+    assert not (tmp_path / "report.csv").exists()
+
+
+def _save_per_file(directory, arrays) -> Path:
+    """Writes ``arrays`` in the layout the one payload file replaced: a
+    tensor file per entry, named by the entry's ``"file"``."""
+    directory.mkdir()
+    manifest = {}
+    for name in sorted(arrays):
+        manifest[name] = {"file": name.replace(".", "_") + ".gymt",
+                          "shape": list(arrays[name].shape)}
+        save_tensor(directory / manifest[name]["file"], arrays[name])
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return directory / "manifest.json"
+
+
+@pytest.mark.parametrize("command, per_file", [("eval", "checkpoint"),
+                                               ("export-mesh", "checkpoint"), ("eval", "scene")],
+                         ids=["eval", "export_mesh", "eval_scene"])
+def test_cli_refuses_the_per_file_layout(tmp_path, capsys, command, per_file):
+    cfg_path = _write_cfg(tmp_path)
+    scene = synth_generate(_small_cfg())
+    state = build_pipeline(_small_cfg(), scene).state_dict()
+    if per_file == "scene":
+        ckpt = save_checkpoint(tmp_path / "ckpt", state)
+        arrays = load_checkpoint(save_scene(scene, tmp_path / "new_scene") / "manifest.json")
+        _save_per_file(tmp_path / "scene", arrays)
+    else:
+        ckpt = _save_per_file(tmp_path / "ckpt", state)
+        save_scene(scene, tmp_path / "scene")
+    out = tmp_path / "out"
+    extra = (["--report", str(out)] if command == "eval"
+             else ["--frame", "0", "--out", str(out)])
+    assert main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--scene", str(tmp_path / "scene"), *extra]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    first = "coarse_meshes" if per_file == "scene" else sorted(state)[0]
+    assert err["error"] == "contract"
+    assert err["message"].startswith(f"checkpoint entry {first}: ")
+    assert "per-file layout" in err["message"]
+    assert not out.exists()
+
+
+def test_cli_eval_missing_payload_exit_code(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = save_checkpoint(tmp_path / "ckpt",
+                           build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
+    (ckpt.parent / "tensors.gymt").unlink()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--report", str(tmp_path / "report.csv")]) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "io" and "tensors.gymt" in err["message"]
     assert not (tmp_path / "report.csv").exists()
 
 

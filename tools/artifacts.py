@@ -2,8 +2,10 @@
 
 Each run starts in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and
 imports ``hypermesh`` from this checkout's ``src/``. A hash is the first 16
-hex digits of sha256; a checkpoint's hash covers its sorted file names and
-bytes, manifest included. The runs:
+hex digits of sha256. A checkpoint's hash covers its content as
+``load_checkpoint`` returns it: each entry's name, shape and ``<f8`` bytes,
+in sorted-name order. So it holds across a change of the file layout. The
+runs:
 
 - ``default``, ``train_wide`` and ``disable_hmo``: ``train_toy`` for 60 steps;
 - ``t_frames_32``: ``train_toy`` for 20 steps;
@@ -50,14 +52,19 @@ EVAL_NOISE = 0.02
 
 
 def digest(path: Path) -> str:
-    """sha256 prefix of a file, or of a directory's sorted names and bytes."""
+    """sha256 prefix of a file's bytes."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def checkpoint_digest(manifest: Path) -> str:
+    """sha256 prefix of a checkpoint's entries: name and shape as JSON, then
+    the ``<f8`` bytes, in sorted-name order."""
+    from hypermesh.tensor_io import load_checkpoint
+
     h = hashlib.sha256()
-    if path.is_dir():
-        for name in sorted(os.listdir(path)):
-            h.update(name.encode())
-            h.update((path / name).read_bytes())
-    else:
-        h.update(path.read_bytes())
+    for name, arr in sorted(load_checkpoint(manifest).items()):
+        h.update(json.dumps([name, list(arr.shape)]).encode())
+        h.update(arr.astype("<f8").tobytes())
     return h.hexdigest()[:16]
 
 
@@ -73,7 +80,7 @@ def run_one(name: str, workdir: Path) -> dict:
     if name in TRAIN_RUNS:
         result = train_toy(PipelineConfig(**TRAIN_RUNS[name]), out_dir=workdir)
         return {"loss_curve": digest(result.loss_curve_path),
-                "checkpoint": digest(result.checkpoint_path.parent)}
+                "checkpoint": checkpoint_digest(result.checkpoint_path)}
     if name in EVAL_RUNS:
         cfg = PipelineConfig(**EVAL_RUNS[name])
         scene = synth_generate(cfg)

@@ -18,10 +18,14 @@ count. Each side's revision is its commit and the git tree hashes of the
 ``src`` and ``bench`` it ran; for this checkout those hash the snapshot, so
 ``git rev-parse REV:src`` tells whether a commit holds the measured code.
 
+With ``--trace``, after the pairs each tree also runs ``bench/run.py --trace
+1`` once per workload, on seed 1, and the file holds those runs' per-layer
+metrics beside the end-to-end ones.
+
 Usage::
 
     python tools/pairs.py --parent REV --label NAME [--workloads W ...]
-                          [--pairs N] [--seconds S]
+                          [--pairs N] [--seconds S] [--trace]
 
 ``--pairs`` defaults to 10 and ``--seconds`` to the benchmark's run length.
 
@@ -71,10 +75,10 @@ def revision(rev: str | None) -> tuple[dict, str]:
     return {"commit": commit, **trees}, snapshot
 
 
-def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``bench/run.py`` run in ``root``: its JSON line, or a failed record."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -110,6 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--trace", action="store_true",
+                        help="add one traced run per side and workload: per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
@@ -138,9 +144,14 @@ def main(argv=None) -> int:
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: p50 {p50} ms, "
                           f"correct {pair[side]['correct']}", file=sys.stderr)
                 runs[w].append(pair)
+        traces = {w: {side: bench_once(roots[side], w, 1, args.seconds, trace=1)
+                      for side in ("parent", "change")}
+                  for w in (args.workloads if args.trace else [])}
 
     incorrect = [(w, p["seed"], side) for w, pairs in runs.items() for p in pairs
                  for side in ("parent", "change") if not p[side]["correct"]]
+    incorrect += [(w, "1 traced", side) for w, sides in traces.items()
+                  for side, run in sides.items() if not run["correct"]]
     metrics = {w: {m["name"]: summarize(pairs, m) for m in spec["end_to_end"]}
                for w, pairs in runs.items() if not any(w == bad[0] for bad in incorrect)}
     report = {"label": args.label, "revisions": revisions, "cpu_count": os.cpu_count(),
@@ -148,6 +159,8 @@ def main(argv=None) -> int:
                            "seeds": [1, args.pairs],
                            "command": "bench/run.py --trace 0", "claim_rule": CLAIM_RULE},
               "metrics": metrics, "runs": runs}
+    if args.trace:
+        report["per_layer"] = traces
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
