@@ -12,13 +12,14 @@ block's output with 0 before that sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError, ShapeError, TopologyError
+from .errors import ContractError, ShapeError, TopologyError
 from .layers import HyperAdaLN, HyperAttention, HyperFFN, Linear, _uniform
 from .manifold import expmap0, logmap0, mobius_add
 from .module import Module
@@ -137,22 +138,26 @@ def fuse_and_upsample(m_blocks: Tensor, topology: MeshTopology) -> tuple[MeshSta
     return MeshState(m_opt), MeshState(Tensor(topology.upsampler) @ m_opt)
 
 
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """Deterministic near-uniform points on the sphere of radius 0.5: the toy template."""
+    i = np.arange(n, dtype=np.float64)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    y = 1.0 - 2.0 * (i + 0.5) / n
+    r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
+    theta = golden * i
+    return 0.5 * np.stack([r * np.cos(theta), y, r * np.sin(theta)], axis=-1)
+
+
 # checkpoint name of each block slice: 0 refines from the 3D pose, 1 from the pose motion
 BLOCKS = ("hpo", "hmo")
 
 
 class MeshPipeline(Module):
-    """Temporal prior extractor + dual optimization blocks + upsampling."""
+    """Temporal prior extractor + dual optimization blocks + upsampling. The learnable
+    template starts as the Fibonacci sphere; ``load_state_dict`` sets and checks any other."""
 
     def __init__(self, n_joints: int, feat_dim: int, dim: int, heads: int,
-                 topology: MeshTopology, template: np.ndarray,
-                 rng: np.random.Generator):
-        template = np.asarray(template, dtype=np.float64)
-        if template.shape != (topology.n_coarse, 3):
-            raise ShapeError(
-                f"template shape {template.shape} != ({topology.n_coarse}, 3)")
-        if not np.isfinite(template).all():
-            raise NumericError("template mesh is not finite")
+                 topology: MeshTopology, rng: np.random.Generator):
         self.prior = TemporalPriorExtractor(n_joints, feat_dim, heads, rng)
         lone = [OptBlock(topology.n_coarse, n_joints, feat_dim, dim, heads, rng)
                 for _ in BLOCKS]
@@ -161,7 +166,7 @@ class MeshPipeline(Module):
         for k, v in named[0].items():  # the first block takes every block's values
             v.data = np.array([n[k].data for n in named]).reshape(len(BLOCKS), -1, v.shape[-1])
         self.blocks = lone[0]
-        self.template = Tensor(template.copy(), requires_grad=True)
+        self.template = Tensor(fibonacci_sphere(topology.n_coarse), requires_grad=True)
         self.topology = topology
 
     def _layout(self) -> dict[str, tuple[Tensor, int | None, tuple[int, ...]]]:

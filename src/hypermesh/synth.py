@@ -51,16 +51,6 @@ class SyntheticScene:
                                     f"array, got shape {a.shape}")
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic near-uniform points on the sphere of radius 0.5: the toy template."""
-    i = np.arange(n, dtype=np.float64)
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    y = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-    theta = golden * i
-    return 0.5 * np.stack([r * np.cos(theta), y, r * np.sin(theta)], axis=-1)
-
-
 def build_toy_topology(cfg: PipelineConfig, rng: np.random.Generator) -> MeshTopology:
     nc, nf = cfg.n_coarse, cfg.n_fine
     upsampler = np.zeros((nf, nc))

@@ -64,12 +64,12 @@ def save_tensor(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_exact(fh, size: int, path, what: str) -> bytes:
-    # sized against the file before reading: a corrupt header must not turn
-    # into one huge read request
+def _fits(fh, size: int, path, what: str) -> int:
+    # sized against the file before reading or allocating: a corrupt header
+    # must not turn into one huge request
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ContractError(f"{path}: truncated {what}")
-    return fh.read(size)
+    return size
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
@@ -77,16 +77,18 @@ def load_tensor(path: str | Path) -> np.ndarray:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ContractError(f"{path}: bad magic {magic!r}")
-        (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
-        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "header"))
-        count = math.prod(shape)  # Python ints: np.prod wraps around in int64
-        payload = _read_exact(fh, 8 * count, path, "payload")
-        if fh.read(1):
-            raise ContractError(f"{path}: trailing bytes after the payload")
+        (rank,) = struct.unpack("<I", fh.read(_fits(fh, 4, path, "header")))
+        shape = struct.unpack(f"<{rank}I", fh.read(_fits(fh, 4 * rank, path, "header")))
+        _fits(fh, 8 * math.prod(shape), path, "payload")  # np.prod wraps around in int64
         try:
-            return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            out = np.empty(shape, dtype="<f8")
         except ValueError as exc:  # more axes than numpy supports
             raise ContractError(f"{path}: {exc}") from None
+        if fh.readinto(out) != out.nbytes:  # read straight into the array: one copy
+            raise ContractError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ContractError(f"{path}: trailing bytes after the payload")
+        return out
 
 
 def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Path:

@@ -1,12 +1,14 @@
 """Toy training harness: full-batch gradient descent on one synthetic scene,
 with ball re-projection after every parameter update, loss-curve CSV, and
 bit-exact checkpointing. The loss and the predictions read the pair that
-``MeshPipeline.run_sequence`` returns: the fused coarse mesh and the fine mesh."""
+``MeshPipeline.run_sequence`` returns: the fused coarse mesh and the fine mesh.
+Only ``train_toy`` reads ``template_mesh_path``: the file is the initial ``template``
+state entry, checked as a checkpoint entry is; evaluation reads the checkpoint's."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from .losses import euclidean_losses, hyperbolic_mesh_loss, total_loss
 from .manifold import BallParams, DEFAULT_PARAMS, ball_clamp
 from .metrics import write_metric_report
 from .pipeline import MeshPipeline
-from .synth import SyntheticScene, fibonacci_sphere, synth_generate
+from .synth import SyntheticScene, synth_generate
 from .tensor import Tensor
 from .tensor_io import (atomic_write, load_checkpoint, load_tensor,
                         save_checkpoint)
@@ -53,15 +55,11 @@ class SGD:
 
 
 def build_pipeline(cfg: PipelineConfig, scene: SyntheticScene) -> MeshPipeline:
+    """The seeded initial pipeline; it never reads the template file."""
     scene.check(cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    if cfg.template_mesh_path:
-        template = load_tensor(cfg.template_mesh_path)
-    else:
-        template = fibonacci_sphere(cfg.n_coarse)
     return MeshPipeline(n_joints=cfg.n_joints, feat_dim=cfg.feat_dim,
-                        dim=cfg.model_dim, heads=cfg.heads,
-                        topology=scene.topology, template=template, rng=rng)
+                        dim=cfg.model_dim, heads=cfg.heads, topology=scene.topology,
+                        rng=np.random.default_rng(cfg.seed + 1))
 
 
 def scene_loss(pipeline: MeshPipeline, scene: SyntheticScene, cfg: PipelineConfig,
@@ -110,6 +108,9 @@ def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
     out.mkdir(parents=True, exist_ok=True)
 
     pipeline = build_pipeline(cfg, scene)
+    if cfg.template_mesh_path:
+        pipeline.load_state_dict({**pipeline.state_dict(),
+                                  "template": load_tensor(cfg.template_mesh_path)})
     opt = SGD(pipeline.parameters(), pipeline.ball_parameters(),
               lr=cfg.learning_rate, momentum=cfg.momentum)
 
@@ -145,8 +146,7 @@ def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
 def predict(cfg: PipelineConfig, checkpoint_manifest: str | Path,
             scene: SyntheticScene) -> np.ndarray:
     """Fine-mesh vertices [T, n_fine, 3] that the checkpoint predicts for the scene."""
-    # the checkpoint holds the trained template: the template file is not read
-    pipeline = build_pipeline(replace(cfg, template_mesh_path=""), scene)
+    pipeline = build_pipeline(cfg, scene)
     pipeline.load_state_dict(load_checkpoint(checkpoint_manifest))
     # nothing here runs backward: untracked parameters keep the tape empty
     for param in pipeline.parameters():

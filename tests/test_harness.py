@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypermesh.config import PipelineConfig
 from hypermesh.errors import ConfigError, ContractError, NumericError
 from hypermesh.manifold import BallParams
 from hypermesh.metrics import write_metric_report
+from hypermesh.pipeline import fibonacci_sphere
 from hypermesh.synth import load_scene, save_scene, synth_generate
 from hypermesh.tensor import Tensor
 from hypermesh import tensor_io
@@ -137,6 +139,17 @@ def test_tensor_io_sizes_the_payload_exactly(tmp_path):
     # 70 axes of length 1: more than numpy supports
     path.write_bytes(tensor_io.MAGIC + struct.pack("<71I", 70, *[1] * 70) + bytes(8))
     with pytest.raises(ContractError):
+        load_tensor(path)
+
+
+def test_tensor_io_short_read_is_truncated(tmp_path, monkeypatch):
+    # a file that shrinks after its size is checked: the read must fill the array
+    path = tmp_path / "t.gymt"
+    save_tensor(path, np.arange(6.0))
+    monkeypatch.setattr(tensor_io, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(
+        st_size=os.fstat(fd).st_size + 8)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ContractError, match="truncated payload"):
         load_tensor(path)
 
 
@@ -849,10 +862,27 @@ def test_template_mesh_path_sets_the_initial_template(tmp_path):
     template = np.random.default_rng(3).uniform(-0.5, 0.5, size=(SMALL["n_coarse"], 3))
     save_tensor(tmp_path / "template.gymt", template)
     cfg = _small_cfg(template_mesh_path=str(tmp_path / "template.gymt"))
+    result = train_toy(cfg, out_dir=tmp_path / "run")  # steps=0: no update
+    assert load_checkpoint(result.checkpoint_path)["template"].tobytes() == template.tobytes()
+
+
+def test_build_pipeline_does_not_read_the_template_file(tmp_path):
+    cfg = _small_cfg(template_mesh_path=str(tmp_path / "missing.gymt"))
     pipe = build_pipeline(cfg, synth_generate(cfg))
-    assert pipe.template.data.tobytes() == template.tobytes()
+    assert pipe.template.data.tobytes() == fibonacci_sphere(SMALL["n_coarse"]).tobytes()
     assert pipe.template.requires_grad
-    assert pipe.state_dict()["template"].tobytes() == template.tobytes()
+
+
+def test_evaluate_builds_no_config(tmp_path, monkeypatch):
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    ckpt = save_checkpoint(tmp_path / "ckpt", build_pipeline(cfg, scene).state_dict())
+    built = []
+    post_init = PipelineConfig.__post_init__
+    monkeypatch.setattr(PipelineConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    evaluate(cfg, ckpt, tmp_path / "report.csv", scene=scene)
+    assert built == []
 
 
 def test_cli_eval_and_export_do_not_read_the_template_file(tmp_path, capsys):
@@ -885,8 +915,8 @@ def _nan_template():
 
 
 @pytest.mark.parametrize("template, named", [
-    (np.zeros((SMALL["n_coarse"] + 1, 3)), "template shape (7, 3) != (6, 3)"),
-    (_nan_template(), "template mesh is not finite"),
+    (np.zeros((SMALL["n_coarse"] + 1, 3)), "state dict entry template: shape (7, 3) != (6, 3)"),
+    (_nan_template(), "state dict entry template is not finite"),
 ], ids=["wrong_shape", "nan"])
 def test_cli_bad_template_mesh_exit_code(tmp_path, capsys, template, named):
     save_tensor(tmp_path / "template.gymt", template)
@@ -894,7 +924,15 @@ def test_cli_bad_template_mesh_exit_code(tmp_path, capsys, template, named):
                           steps=2, learning_rate=0.001)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 5
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "contract" and named in err["message"]
+    assert err["error"] == "contract" and err["message"] == named
+    assert not (tmp_path / "run" / "loss_curve.csv").exists()
+
+
+def test_cli_missing_template_file_exit_code(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, template_mesh_path=str(tmp_path / "missing.gymt"),
+                          steps=2, learning_rate=0.001)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 4
+    assert "missing.gymt" in capsys.readouterr().err
     assert not (tmp_path / "run" / "loss_curve.csv").exists()
 
 

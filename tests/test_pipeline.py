@@ -5,8 +5,9 @@ from hypermesh import tensor as T
 from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError, TopologyError
 from hypermesh.module import Module
-from hypermesh.pipeline import BLOCKS, MeshTopology, OptBlock, export_obj, fuse_and_upsample
-from hypermesh.synth import build_toy_topology, fibonacci_sphere, synth_generate
+from hypermesh.pipeline import (BLOCKS, MeshTopology, OptBlock, export_obj, fibonacci_sphere,
+                                fuse_and_upsample)
+from hypermesh.synth import build_toy_topology, synth_generate
 from hypermesh.temporal import TemporalPriorExtractor
 from hypermesh.tensor import Tensor
 from hypermesh.tensor_io import save_checkpoint

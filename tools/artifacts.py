@@ -9,6 +9,9 @@ runs:
 
 - ``default``, ``train_wide`` and ``disable_hmo``: ``train_toy`` for 60 steps;
 - ``t_frames_32``: ``train_toy`` for 20 steps;
+- ``template``: ``train_toy`` for 20 steps from a template file of
+  U(-0.5, 0.5) vertices drawn from ``default_rng(5)``, written into the run's
+  temporary directory;
 - ``eval_t4`` and ``eval_t32``: ``evaluate`` at seed 3, from the initial
   parameters plus U(-0.02, 0.02) noise drawn from ``default_rng([3, 1])``;
 - ``criterion_8``: the final losses of acceptance criterion 8's full and
@@ -44,6 +47,7 @@ TRAIN_RUNS = {
     "train_wide": {**WIDE, "steps": 60},
     "disable_hmo": {"disable_hmo": True, "steps": 60},
     "t_frames_32": {"t_frames": 32, "steps": 20},
+    "template": {"steps": 20},  # template_mesh_path: a file that run_one writes
 }
 EVAL_RUNS = {"eval_t4": {"seed": 3}, "eval_t32": {"seed": 3, "t_frames": 32}}
 CLI_RUNS = ("gradcheck", "propcheck")
@@ -74,11 +78,16 @@ def run_one(name: str, workdir: Path) -> dict:
 
     from hypermesh.config import PipelineConfig
     from hypermesh.synth import synth_generate
-    from hypermesh.tensor_io import save_checkpoint
+    from hypermesh.tensor_io import save_checkpoint, save_tensor
     from hypermesh.train import build_pipeline, evaluate, train_toy
 
     if name in TRAIN_RUNS:
-        result = train_toy(PipelineConfig(**TRAIN_RUNS[name]), out_dir=workdir)
+        config = TRAIN_RUNS[name]
+        if name == "template":
+            path = workdir / "template.gymt"
+            save_tensor(path, np.random.default_rng(5).uniform(-0.5, 0.5, (8, 3)))
+            config = {**config, "template_mesh_path": str(path)}
+        result = train_toy(PipelineConfig(**config), out_dir=workdir)
         return {"loss_curve": digest(result.loss_curve_path),
                 "checkpoint": checkpoint_digest(result.checkpoint_path)}
     if name in EVAL_RUNS:
