@@ -200,6 +200,12 @@ def random_ball_points(rng: np.random.Generator, shape, max_norm: float = 0.9,
 # ---------------------------------------------------------------------------
 
 
+def _below(figure: str, value: float, bound: float) -> None:
+    """A check's one failure path: a raise, which ``python -O`` keeps."""
+    if not value < bound:
+        raise AssertionError(f"{figure} = {float(value)!r}, not below {float(bound)!r}")
+
+
 def check_manifold_identities(cases: int = 1000, seed: int = 0,
                               tol: float = 1e-9) -> int:
     """Möbius identities and exp/log round trips, including near-boundary norms.
@@ -218,23 +224,23 @@ def check_manifold_identities(cases: int = 1000, seed: int = 0,
         zero = Tensor(np.zeros(n))
         xt, yt = Tensor(x), Tensor(y_small)
 
-        assert np.abs(mobius_add(xt, zero).data - x).max() < tol
-        assert np.abs(mobius_add(zero, xt).data - x).max() < tol
+        _below("max |x (+) 0 - x|", np.abs(mobius_add(xt, zero).data - x).max(), tol)
+        _below("max |0 (+) x - x|", np.abs(mobius_add(zero, xt).data - x).max(), tol)
         z = mobius_add(xt, yt)
         back = mobius_add(Tensor(-x), z)
-        assert np.abs(back.data - y_small).max() < tol
-        assert np.abs(mobius_add(Tensor(-x), xt).data).max() < tol
-        assert np.abs(mobius_matvec(Tensor(np.eye(n)), xt).data - x).max() < tol
+        _below("max |-x (+) (x (+) y) - y|", np.abs(back.data - y_small).max(), tol)
+        _below("max |-x (+) x|", np.abs(mobius_add(Tensor(-x), xt).data).max(), tol)
+        _below("max |I(x)x - x|", np.abs(mobius_matvec(Tensor(np.eye(n)), xt).data - x).max(), tol)
 
         v = rng.normal(size=n)
         vn = np.linalg.norm(v)
         if vn > 5.0:
             v *= rng.uniform(0.0, 5.0) / vn
         rt = logmap0(expmap0(Tensor(v)))
-        assert np.abs(rt.data - v).max() < tol
+        _below("max |logmap0(expmap0(v)) - v|", np.abs(rt.data - v).max(), tol)
         x_mod = random_ball_points(rng, (n,), max_norm=0.999)
         rt2 = expmap0(logmap0(Tensor(x_mod)))
-        assert np.abs(rt2.data - x_mod).max() < tol
+        _below("max |expmap0(logmap0(x)) - x|", np.abs(rt2.data - x_mod).max(), tol)
     return cases
 
 
@@ -250,7 +256,7 @@ def check_matvec_formulations(cases: int = 1000, seed: int = 1,
         direct = mobius_matvec(Tensor(w), Tensor(x)).data
         tangent = logmap0(Tensor(x)).reshape(1, n) @ Tensor(w.T)
         via_maps = expmap0(tangent).data.reshape(m)
-        assert np.abs(direct - via_maps).max() < tol
+        _below("max |W (x) x - expmap0(W logmap0(x))|", np.abs(direct - via_maps).max(), tol)
     return cases
 
 
@@ -268,7 +274,7 @@ def check_ball_closure(cases: int = 200, seed: int = 2) -> int:
         for out in (mobius_add(x, y), mobius_matvec(w, x), expmap0(v),
                     project_to_ball(Tensor(rng.normal(size=(4, n)) * 3.0))):
             norms = np.sqrt((out.data ** 2).sum(axis=-1))
-            assert norms.max() <= limit
+            _below("max norm", norms.max(), limit)
     return cases
 
 
@@ -281,7 +287,7 @@ def check_noncommutativity(cases: int = 1000, seed: int = 4) -> int:
         y = Tensor(random_ball_points(rng, (3,), max_norm=0.9))
         d = np.abs(mobius_add(x, y).data - mobius_add(y, x).data).max()
         best = max(best, float(d))
-    assert best > 1e-3, f"no non-commutativity witness found (best {best})"
+    _below("-max |x (+) y - y (+) x|", -best, -1e-3)  # a witness above 1e-3
     return cases
 
 
@@ -293,7 +299,7 @@ def check_attention_oracle(cases: int = 20, seed: int = 5, tol: float = 1e-9) ->
         k = random_ball_points(rng, (5, 8), max_norm=0.7)
         got = att(Tensor(q), Tensor(k)).data
         want = hyper_attention_oracle(att, q, k)
-        assert np.abs(got - want).max() < tol
+        _below("max |attention - loop oracle|", np.abs(got - want).max(), tol)
     return cases
 
 
@@ -304,7 +310,7 @@ def check_gru_oracle(cases: int = 20, seed: int = 6, tol: float = 1e-10) -> int:
         x = rng.normal(size=(5, 6))
         got = cell(Tensor(x)).data
         want = gru_loop_oracle(cell, x)
-        assert np.abs(got - want).max() < tol
+        _below("max |GRU - loop oracle|", np.abs(got - want).max(), tol)
     return cases
 
 
@@ -316,7 +322,7 @@ def check_adaln_oracle(cases: int = 20, seed: int = 7, tol: float = 1e-10) -> in
         cond = rng.normal(size=6)
         got = layer(Tensor(x), Tensor(cond)).data
         want = adaln_oracle(layer, x, cond)
-        assert np.abs(got - want).max() < tol
+        _below("max |AdaLN - composition oracle|", np.abs(got - want).max(), tol)
     return cases
 
 
@@ -330,10 +336,10 @@ def check_attention_permutation(cases: int = 20, seed: int = 8) -> int:
         perm = rng.permutation(5)
         out1 = att(q, Tensor(k)).data
         out2 = att(q, Tensor(k[perm])).data
-        assert np.abs(out1 - out2).max() < 1e-12
+        _below("max |keys permuted - unpermuted|", np.abs(out1 - out2).max(), 1e-12)
         qperm = rng.permutation(4)
         out3 = att(Tensor(q.data[qperm]), Tensor(k)).data
-        assert np.abs(out1[qperm] - out3).max() < 1e-12
+        _below("max |queries permuted - outputs permuted|", np.abs(out1[qperm] - out3).max(), 1e-12)
     return cases
 
 

@@ -116,7 +116,6 @@ def project_to_ball(x: Tensor) -> Tensor:
     Vectors already inside are untouched (identity gradient); rescaled
     vectors get the radial-projection Jacobian. See :func:`ball_clamp`.
     """
-    x = T.as_tensor(x)
     data, vjp = ball_clamp(x.data)
     return T._make(data, "project_to_ball", (x,), lambda g: (vjp(g),))
 
@@ -130,7 +129,6 @@ def mobius_add(x: Tensor, y: Tensor) -> Tensor:
     Non-commutative; the origin is the two-sided identity. The operands
     broadcast against each other (e.g. a bias ``y`` of shape [n]).
     """
-    x, y = T.as_tensor(x), T.as_tensor(y)
     if x.shape[-1] != y.shape[-1]:
         raise ShapeError(f"mobius_add trailing dims differ: {x.shape} vs {y.shape}")
     xd, yd = x.data, y.data
@@ -166,7 +164,6 @@ def expmap0(v: Tensor) -> Tensor:
     itself. The clamp at the end only fires for extreme inputs where
     tanh saturates past 1 - eps_ball.
     """
-    v = T.as_tensor(v)
     vd = v.data
     n = _smoothed_norm(vd)
     t = np.tanh(0.5 * n)
@@ -187,7 +184,6 @@ def logmap0(x: Tensor) -> Tensor:
 
     Exact inverse of :func:`expmap0` away from the clamp shell.
     """
-    x = T.as_tensor(x)
     xd = x.data
     n = _smoothed_norm(xd)
     m = 2.0 * _atanh(n)
@@ -210,7 +206,6 @@ def mobius_matvec(w: Tensor, x: Tensor) -> Tensor:
     ``x`` is [..., n], or ``w`` is [B, m, n] and ``x`` is [..., B, k, n], one
     weight slice per block.
     """
-    w, x = T.as_tensor(w), T.as_tensor(x)
     if (w.ndim not in (2, 3) or w.shape[-1] != x.shape[-1]
             or (w.ndim == 3 and (x.ndim < 3 or x.shape[-3] != w.shape[0]))):
         raise ShapeError(f"mobius_matvec shapes incompatible: W {w.shape}, x {x.shape}")

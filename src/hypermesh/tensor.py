@@ -5,8 +5,8 @@ the affine map :func:`linear` (there is no transpose op) and the layer
 normalization :func:`normalize` included, records one node and a backward
 closure; ``backward()`` on a size-1 output walks the tape in reverse topological
 order into the leaves (tensors made with ``requires_grad``, not by an op).
-A weight [B, out, in] of ``linear`` maps activations [..., B, n, in] with
-one slice per block, batched over a leading block axis.
+Ops take :class:`Tensor` operands: ``Tensor(...)`` converts arrays, and the
+arithmetic operators convert a number or array on either side.
 
 A tape holds activations, never a parameter's array: a backward closure reads
 an operand's values through its :class:`Tensor` when it runs, not through an
@@ -133,32 +133,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic --------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
     data = a.data + b.data
     return _make(data, "add", (a, b),
                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
                             _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
     data = a.data - b.data
     return _make(data, "sub", (a, b),
                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
                             _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
     data = a.data * b.data
     return _make(data, "mul", (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def div(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
     data = a.data / b.data
     return _make(data, "div", (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
@@ -169,8 +169,7 @@ def div(a, b) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires ndim >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -185,12 +184,11 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w.T (+ b)`` on the trailing axis, as one node; a weight [B, out, in]
     maps each block's slice [..., B, n, in] apart. Its gradients equal those of
     the composed transpose, matmul and add, bit for bit."""
-    x, w = as_tensor(x), as_tensor(w)
-    bias = () if b is None else (as_tensor(b),)
+    bias = () if b is None else (b,)
     wt = w.data.mT
     data = x.data @ wt + bias[0].data if bias else x.data @ wt
 
@@ -202,23 +200,19 @@ def linear(x, w, b=None) -> Tensor:
     return _make(data, "linear", (x, w, *bias), backward)
 
 
-def reshape(a, *shape) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     data = a.data.reshape(shape)
     return _make(data, "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
+def broadcast_to(a: Tensor, shape) -> Tensor:
     data = np.broadcast_to(a.data, shape).copy()
     return _make(data, "broadcast", (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
-def getitem(a, key) -> Tensor:
-    a = as_tensor(a)
-
+def getitem(a: Tensor, key) -> Tensor:
     def backward(g):
         z = np.zeros(a.shape)
         np.add.at(z, key, g)  # repeated indices accumulate
@@ -228,7 +222,7 @@ def getitem(a, key) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = tuple(tensors)
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
@@ -237,14 +231,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
                      for i in range(len(ts)))
 
-    return _make(data, "concat", tuple(ts), backward)
+    return _make(data, "concat", ts, backward)
 
 
 # -- reductions --------------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -254,19 +247,18 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(data, dtype=np.float64), "sum", (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
     return tsum(a, axis, keepdims) * (1.0 / count)
 
 
-# -- operator sugar: the methods are the functions above, operands swapped for
-# the reflected forms -------------------------------------------------------
+# -- operator sugar: the methods are the functions above; the reflected forms
+# convert the number they receive and swap the operands ----------------------
 
-Tensor.__add__, Tensor.__radd__ = add, lambda a, b: add(b, a)
-Tensor.__sub__, Tensor.__rsub__ = sub, lambda a, b: sub(b, a)
-Tensor.__mul__, Tensor.__rmul__ = mul, lambda a, b: mul(b, a)
-Tensor.__truediv__, Tensor.__rtruediv__ = div, lambda a, b: div(b, a)
+Tensor.__add__, Tensor.__radd__ = add, lambda a, b: add(as_tensor(b), a)
+Tensor.__sub__, Tensor.__rsub__ = sub, lambda a, b: sub(as_tensor(b), a)
+Tensor.__mul__, Tensor.__rmul__ = mul, lambda a, b: mul(as_tensor(b), a)
+Tensor.__truediv__, Tensor.__rtruediv__ = div, lambda a, b: div(as_tensor(b), a)
 Tensor.__matmul__, Tensor.__getitem__ = matmul, getitem
 Tensor.reshape, Tensor.sum, Tensor.mean = reshape, tsum, tmean
 
@@ -274,14 +266,12 @@ Tensor.reshape, Tensor.sum, Tensor.mean = reshape, tsum, tmean
 # -- nonlinearities ----------------------------------------------------------
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
+def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
     return _make(data, "tanh", (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
     return _make(data, "sigmoid", (a,), lambda g: (g * data * (1.0 - data),))
 
@@ -330,7 +320,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-def gelu(a) -> Tensor:
+def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x).
 
     ``erf`` is a numpy port of cephes ``ndtr.c``, with cephes' operation
@@ -339,7 +329,6 @@ def gelu(a) -> Tensor:
     cephes: numpy's vectorised ``np.exp`` differs from it by an ulp on a few
     inputs, and that would move training results.
     """
-    a = as_tensor(a)
     phi = 0.5 * (1.0 + _erf(a.data / _SQRT2))
     data = a.data * phi
 
@@ -350,16 +339,14 @@ def gelu(a) -> Tensor:
     return _make(data, "gelu", (a,), backward)
 
 
-def tabs(a) -> Tensor:
+def tabs(a: Tensor) -> Tensor:
     """Elementwise |x|; subgradient at 0 is 0."""
-    a = as_tensor(a)
     data = np.abs(a.data)
     return _make(data, "abs", (a,), lambda g: (g * np.sign(a.data),))
 
 
-def l2norm(a, keepdims: bool = True, eps: float = 0.0) -> Tensor:
+def l2norm(a: Tensor, keepdims: bool = True, eps: float = 0.0) -> Tensor:
     """Smoothed Euclidean norm sqrt(sum(x^2) + eps^2) along the trailing axis."""
-    a = as_tensor(a)
     sq = (a.data * a.data).sum(axis=-1, keepdims=True)
     n = np.sqrt(sq + eps * eps)
     data = n if keepdims else n[..., 0]
@@ -371,11 +358,10 @@ def l2norm(a, keepdims: bool = True, eps: float = 0.0) -> Tensor:
     return _make(data, "l2norm", (a,), backward)
 
 
-def normalize(a, eps: float) -> Tensor:
+def normalize(a: Tensor, eps: float) -> Tensor:
     """``(a - mean) / sqrt(var + eps)`` over the last axis, with the biased
     variance, as one node. Its backward is the layer-norm gradient (Ba et al.
     2016), in the rounding order of the composed mean, variance, sqrt and div."""
-    a = as_tensor(a)
     inv_n = 1.0 / a.shape[-1]
     c = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
     sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)

@@ -518,14 +518,19 @@ def test_cli_config_key_given_twice_exit_code(tmp_path, capsys):
     assert not (tmp_path / "scene").exists()
 
 
-@pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000],
-                         ids=["not_utf8", "nested_too_deep"])
-def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, named", [
+    (b'{"seed": "\xff"}', "invalid JSON"),
+    (b"[" * 100_000, "invalid JSON"),
+    (b"[1, 2]", "config must be a JSON object"),
+], ids=["not_utf8", "nested_too_deep", "top_level_list"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, content, named):
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert main(["synth", "--config", str(path),
                  "--out", str(tmp_path / "scene")]) == 3
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and named in err["message"]
+    assert not (tmp_path / "scene").exists()
 
 
 @pytest.mark.parametrize("manifest", [
@@ -535,17 +540,21 @@ def test_cli_unreadable_config_exit_code(tmp_path, capsys, content):
     '{"template": {}}',
     '{"template": ',
     "[" * 100_000,
+    b'{"template": {"shape": [6, 3], "\xff": 0}}',
     lambda m: m["template"].update(shape=[6.0, 3.0]),
     lambda m: m["prior.gru_aft.w_r"].update(file="prior_gru_aft_w_r.gymt"),
     lambda m: m["template"].update(shape=[3, 6]),
 ], ids=["top_level_list", "entry_not_object", "fewer_entries", "no_shape", "not_json",
-        "nested_too_deep", "float_shape", "per_file_entry", "shape_disagrees_with_file"])
+        "nested_too_deep", "not_utf8", "float_shape", "per_file_entry",
+        "shape_disagrees_with_file"])
 def test_cli_eval_malformed_manifest_exit_code(tmp_path, capsys, manifest):
     cfg_path = _write_cfg(tmp_path)
     path = save_checkpoint(tmp_path / "ckpt",
                            build_pipeline(_small_cfg(), synth_generate(_small_cfg())).state_dict())
     if callable(manifest):
         _edit_manifest(path.parent, manifest)
+    elif isinstance(manifest, bytes):
+        path.write_bytes(manifest)
     else:
         path.write_text(manifest)
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
@@ -759,6 +768,34 @@ def test_cli_propcheck_reports_a_failing_check(capsys, monkeypatch):
         "FAIL hyperlayers/adaln_vs_composition_oracle cases=0 (worst error 0.5 > 1e-9)",
         "PASS hyperlayers/attention_permutation cases=3",
         "2/3 propchecks passed"]
+
+
+def test_propchecks_fail_under_python_optimize(tmp_path, monkeypatch):
+    # python -O strips assert statements: a check that fails only through
+    # them reports PASS on a wrong op
+    monkeypatch.setenv("PYTHONOPTIMIZE", "1")
+    planted = ("import sys, numpy as np, hypermesh.checks as C; from hypermesh.cli import main; "
+               "C.mobius_add = lambda x, y: C.Tensor(np.full(np.broadcast_shapes("
+               "x.shape, y.shape), 0.5)); "
+               "print('optimize', sys.flags.optimize); sys.exit(main(sys.argv[1:]))")
+    done = _run_fresh(planted, "propcheck", "--module", "manifold", "--cases", "5",
+                      cwd=tmp_path)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1" and done.returncode == 1, done.stderr
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == [
+        "manifold/mobius_identities", "manifold/ball_closure",
+        "manifold/noncommutativity_witness"]
+    assert all("not below" in line for line in failed)
+
+
+def test_cli_missing_required_flag_is_a_usage_error(capsys):
+    # argparse exits 2 with its usage text, not a JSON error
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", "config.json", "--report", "report.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypermesh eval") and "--checkpoint" in err
 
 
 @pytest.mark.parametrize("argv, named", [

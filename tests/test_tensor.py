@@ -8,6 +8,7 @@ from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError
 from hypermesh.gradcheck import gradcheck
 from hypermesh.layers import attention
+from hypermesh.manifold import expmap0
 from hypermesh.synth import synth_generate
 from hypermesh.tensor import Tensor
 from hypermesh.train import build_pipeline, scene_loss
@@ -19,6 +20,17 @@ def test_add_broadcasting_trailing_alignment():
     out = a + b
     assert out.shape == (2, 3, 4)
     np.testing.assert_allclose(out.data[0, 0], 1.0 + np.arange(4.0))
+
+
+def test_operators_convert_numbers_and_arrays_and_ops_do_not():
+    x = Tensor(np.arange(1.0, 4.0))
+    np.testing.assert_array_equal((1.0 - x).data, 1.0 - x.data)
+    np.testing.assert_array_equal((x * np.full(3, 2.0)).data, x.data * 2.0)
+    for bare in (0.5, np.full(3, 0.5)):
+        with pytest.raises(AttributeError):
+            T.tanh(bare)
+        with pytest.raises(AttributeError):
+            expmap0(bare)
 
 
 def test_matmul_shape_error():
