@@ -256,7 +256,7 @@ def check_matvec_formulations(cases: int = 1000, seed: int = 1,
         direct = mobius_matvec(Tensor(w), Tensor(x)).data
         tangent = logmap0(Tensor(x)).reshape(1, n) @ Tensor(w.T)
         via_maps = expmap0(tangent).data.reshape(m)
-        _below("max |W (x) x - expmap0(W logmap0(x))|", np.abs(direct - via_maps).max(), tol)
+        _below("max |W(x)x - expmap0(W logmap0(x))|", np.abs(direct - via_maps).max(), tol)
     return cases
 
 

@@ -6,7 +6,7 @@ normalization :func:`normalize` included, records one node and a backward
 closure; ``backward()`` on a size-1 output walks the tape in reverse topological
 order into the leaves (tensors made with ``requires_grad``, not by an op).
 Ops take :class:`Tensor` operands: ``Tensor(...)`` converts arrays, and the
-arithmetic operators convert a number or array on either side.
+arithmetic operators convert a number on either side or an array on the right.
 
 A tape holds activations, never a parameter's array: a backward closure reads
 an operand's values through its :class:`Tensor` when it runs, not through an
