@@ -4,8 +4,7 @@ Pose stream: frame differences + sequence average -> GRU -> per-frame motion
 code. Feature stream: split at the middle frame, one GRU per half, concat,
 Euclidean multi-head self-attention (``layers.EuclideanAttention``). The
 fused prior is the attention output plus a learned projection of the pose
-motion codes. A GRU gate's input product rides in the bias of its recurrent
-``linear``, 17 tape nodes a step.
+motion codes. A GRU records one tape node per sequence.
 """
 
 from __future__ import annotations
@@ -24,6 +23,17 @@ class GruCell(Module):
 
     Gate convention: z = sigmoid, r = sigmoid, candidate = tanh,
     h' = (1 - z) * candidate + z * h.
+
+    The sequence is one ``gru`` node over the input and the nine parameters.
+    Its results equal those of the composed ops, 17 nodes a step, bit for
+    bit. Each step keeps the composed ops' rounding order, one row product
+    per gate: ``z = 1 / (1 + exp(-((h U_z^T + x_t W_z^T) + b_z)))``. The
+    backward walks the steps from last to first and sums as the tape did.
+    ``h_t``'s gradient is row t of the output's, then step t+1's terms
+    ``g_rh r``, ``g_r' U_r``, ``g_h z`` and ``g_z' U_z`` in turn (``'``
+    marks a pre-activation). A parameter's gradient adds the steps' terms
+    from the last step to the first. Row t of the input's is
+    ``(g_r' W_r + g_c' W_h) + g_z' W_z``.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -42,16 +52,45 @@ class GruCell(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"GRU expects [T, {self.input_dim}], got {x.shape}")
-        h = Tensor(np.zeros((1, self.hidden_dim)))
-        outputs = []
+        params = (self.w_z, self.u_z, self.b_z, self.w_r, self.u_r, self.b_r,
+                  self.w_h, self.u_h, self.b_h)
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (p.data for p in params)
+        hs, steps = [np.zeros((1, self.hidden_dim))], []
         for t in range(x.shape[0]):
-            x_t = x[t:t + 1]
-            z = T.sigmoid(T.linear(h, self.u_z, T.linear(x_t, self.w_z)) + self.b_z)
-            r = T.sigmoid(T.linear(h, self.u_r, T.linear(x_t, self.w_r)) + self.b_r)
-            cand = T.tanh(T.linear(r * h, self.u_h, T.linear(x_t, self.w_h)) + self.b_h)
-            h = (1.0 - z) * cand + z * h
-            outputs.append(h)
-        return T.concat(outputs, axis=0)
+            x_t, h = x.data[t:t + 1], hs[-1]
+            z = 1.0 / (1.0 + np.exp(-(h @ u_z.mT + x_t @ w_z.mT + b_z)))
+            r = 1.0 / (1.0 + np.exp(-(h @ u_r.mT + x_t @ w_r.mT + b_r)))
+            rh = r * h
+            c = np.tanh(rh @ u_h.mT + x_t @ w_h.mT + b_h)
+            omz = 1.0 - z
+            hs.append(omz * c + z * h)
+            steps.append((z, r, rh, c, omz))
+
+        def backward(g):
+            w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = (p.data for p in params)
+            gx = np.zeros(x.shape) if x.requires_grad else None
+            sums = [None] * 9
+            carry = ()
+            for t in reversed(range(len(steps))):
+                z, r, rh, c, omz = steps[t]
+                x_t, h = x.data[t:t + 1], hs[t]
+                g_h = g[t:t + 1]
+                for term in carry:
+                    g_h = g_h + term
+                g_zpre = (-(g_h * c) + g_h * h) * z * (1.0 - z)
+                g_cpre = g_h * omz * (1.0 - c * c)
+                g_rh = g_cpre @ u_h
+                g_rpre = g_rh * h * r * (1.0 - r)
+                carry = (g_rh * r, g_rpre @ u_r, g_h * z, g_zpre @ u_z)
+                if gx is not None:
+                    gx[t:t + 1] += g_rpre @ w_r + g_cpre @ w_h + g_zpre @ w_z
+                terms = (g_zpre.mT @ x_t, g_zpre.mT @ h, g_zpre.sum(axis=0),
+                         g_rpre.mT @ x_t, g_rpre.mT @ h, g_rpre.sum(axis=0),
+                         g_cpre.mT @ x_t, g_cpre.mT @ rh, g_cpre.sum(axis=0))
+                sums = [d if s is None else s + d for s, d in zip(sums, terms)]
+            return (gx, *sums)
+
+        return T._make(np.concatenate(hs[1:]), "gru", (x, *params), backward)
 
 
 class PoseMotionExtractor(Module):

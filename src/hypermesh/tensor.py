@@ -6,7 +6,7 @@ normalization :func:`normalize` included, records one node and a backward
 closure; ``backward()`` on a size-1 output walks the tape in reverse topological
 order into the leaves (tensors made with ``requires_grad``, not by an op).
 Ops take :class:`Tensor` operands: ``Tensor(...)`` converts arrays, and the
-arithmetic operators convert a number on either side or an array on the right.
+arithmetic operators convert a number or an array on either side.
 
 A tape holds activations, never a parameter's array: a backward closure reads
 an operand's values through its :class:`Tensor` when it runs, not through an
@@ -28,6 +28,7 @@ class Tensor:
     """A dense float64 array with optional gradient tracking."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __array_ufunc__ = None  # an array on the left defers to the reflected operator
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)

@@ -4,11 +4,14 @@ import pytest
 from hypermesh import tensor as T
 from hypermesh.checks import (check_gru_oracle, euclidean_attention_oracle,
                               gru_loop_oracle)
+from hypermesh.config import PipelineConfig
 from hypermesh.errors import ContractError, ShapeError
 from hypermesh.gradcheck import gradcheck
 from hypermesh.temporal import (EuclideanAttention, GruCell,
                                 PoseMotionExtractor, TemporalPriorExtractor)
+from hypermesh.synth import synth_generate
 from hypermesh.tensor import Tensor
+from hypermesh.train import build_pipeline, scene_loss
 
 
 def test_gru_matches_loop_oracle():
@@ -30,46 +33,75 @@ def test_gru_shape_error():
         cell(Tensor(np.zeros((5, 2))))
 
 
+def _gru_params(cell):
+    return [cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r,
+            cell.w_h, cell.u_h, cell.b_h]
+
+
+def _composed_gru(cell, xs):
+    """The reference: each gate as (x W + h U) + b in separate add nodes, 20 a step."""
+    h, outputs = Tensor(np.zeros((1, cell.hidden_dim))), []
+    for t in range(xs.shape[0]):
+        x_t = xs[t:t + 1]
+        z = T.sigmoid(T.linear(x_t, cell.w_z) + T.linear(h, cell.u_z) + cell.b_z)
+        r = T.sigmoid(T.linear(x_t, cell.w_r) + T.linear(h, cell.u_r) + cell.b_r)
+        cand = T.tanh(T.linear(x_t, cell.w_h) + T.linear(r * h, cell.u_h) + cell.b_h)
+        h = (1.0 - z) * cand + z * h
+        outputs.append(h)
+    return T.concat(outputs, axis=0)
+
+
 @pytest.mark.parametrize("t_frames", [4, 16])
-def test_gru_records_seventeen_nodes_per_step(t_frames):
-    # per step: 6 linear (each input product rides in a recurrent one's bias),
-    # 2 sigmoid and 1 tanh gates, 4 add, 3 mul, 1 sub; then one concat
+def test_gru_records_one_node_per_sequence(t_frames):
     rng = np.random.default_rng(5)
     cell = GruCell(3, 4, rng)
-    out = cell(Tensor(rng.normal(size=(t_frames, 3))))
-    ops = [node._op for node in T.tape_order(out) if node._parents]
-    assert len(ops) == 17 * t_frames + 1
-    assert ops.count("linear") == 6 * t_frames and "transpose" not in ops
+    x = Tensor(rng.normal(size=(t_frames, 3)))
+    out = cell(x)
+    assert [node._op for node in T.tape_order(out) if node._parents] == ["gru"]
+    assert out._parents[0] is x
+    assert all(a is b for a, b in zip(out._parents[1:], _gru_params(cell), strict=True))
 
 
 def test_gru_matches_the_composed_gate_sums_bit_for_bit():
-    # each gate as (x W + h U) + b in separate add nodes, three more per step
+    # the output and every gradient, the input's included when it has one;
+    # training feeds the GRUs inputs without requires_grad
     rng = np.random.default_rng(6)
     cell = GruCell(3, 4, rng)
-    x, g = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+    x, g = rng.normal(size=(16, 3)), rng.normal(size=(16, 4))
+    for input_grad in (True, False):
+        runs = []
+        for forward in (cell, lambda xs: _composed_gru(cell, xs)):
+            cell.zero_grad()
+            xs = Tensor(x, requires_grad=input_grad)
+            out = forward(xs)
+            (out * Tensor(g)).sum().backward()
+            taped = [xs] if input_grad else []
+            runs.append((len([n for n in T.tape_order(out) if n._parents]), out.data.tobytes(),
+                         [a.grad.tobytes() for a in taped + cell.parameters()]))
+        (fused_nodes, *fused), (composed_nodes, *reference) = runs
+        assert fused == reference
+        # 20 op nodes a step, plus the row slice of an input with a gradient; then a concat
+        assert (fused_nodes, composed_nodes) == (1, (20 + input_grad) * x.shape[0] + 1)
 
-    def composed(xs):
-        h, outputs = Tensor(np.zeros((1, 4))), []
-        for t in range(xs.shape[0]):
-            x_t = xs[t:t + 1]
-            z = T.sigmoid(T.linear(x_t, cell.w_z) + T.linear(h, cell.u_z) + cell.b_z)
-            r = T.sigmoid(T.linear(x_t, cell.w_r) + T.linear(h, cell.u_r) + cell.b_r)
-            cand = T.tanh(T.linear(x_t, cell.w_h) + T.linear(r * h, cell.u_h) + cell.b_h)
-            h = (1.0 - z) * cand + z * h
-            outputs.append(h)
-        return T.concat(outputs, axis=0)
 
+@pytest.mark.parametrize("t_frames", [4, 16])
+def test_scene_loss_gradients_equal_those_of_the_composed_gru_bit_for_bit(
+        monkeypatch, t_frames):
+    cfg = PipelineConfig(t_frames=t_frames)
+    scene = synth_generate(cfg)
     runs = []
-    for forward in (cell, composed):
-        cell.zero_grad()
-        xs = Tensor(x, requires_grad=True)
-        out = forward(xs)
-        (out * Tensor(g)).sum().backward()
-        runs.append((len(T.tape_order(out)), out.data.tobytes(),
-                     [a.grad.tobytes() for a in [xs] + cell.parameters()]))
-    (fused_nodes, *fused), (composed_nodes, *reference) = runs
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(GruCell, "__call__", _composed_gru)
+        pipe = build_pipeline(cfg, scene)
+        loss = scene_loss(pipe, scene, cfg)
+        loss.backward()
+        ops = [n._op for n in T.tape_order(loss) if n._parents]
+        runs.append((ops.count("gru"), loss.data.tobytes(),
+                     {k: p.grad.tobytes() for k, p in pipe.named_parameters().items()}))
+    (fused_grus, *fused), (composed_grus, *reference) = runs
     assert fused == reference
-    assert composed_nodes - fused_nodes == 3 * x.shape[0]
+    assert (fused_grus, composed_grus) == (3, 0)
 
 
 def test_gru_gradcheck():
@@ -78,6 +110,30 @@ def test_gru_gradcheck():
     x = Tensor(rng.normal(size=(4, 3)))
     report = gradcheck(lambda xx, *ps: cell(xx).sum(),
                        [x] + cell.parameters(), tol=1e-5)
+    assert report.passed, report.max_rel_err
+
+
+def test_gru_gradcheck_over_a_long_saturated_sequence():
+    # 8 steps with every gate driven to pre-activations of magnitude >= 3,
+    # where sigmoid and tanh flatten out
+    rng = np.random.default_rng(12)
+    cell = GruCell(3, 4, rng)
+    for p in _gru_params(cell):
+        p.data = rng.normal(size=p.shape) * 1.5
+    x = Tensor(rng.normal(size=(8, 3)) * 1.5)
+
+    def sig(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    h_prev = np.vstack([np.zeros((1, 4)), cell(x).data[:-1]])
+    pre_z = x.data @ cell.w_z.data.T + h_prev @ cell.u_z.data.T + cell.b_z.data
+    pre_r = x.data @ cell.w_r.data.T + h_prev @ cell.u_r.data.T + cell.b_r.data
+    pre_c = (x.data @ cell.w_h.data.T + (sig(pre_r) * h_prev) @ cell.u_h.data.T
+             + cell.b_h.data)
+    assert min(np.abs(pre).max() for pre in (pre_z, pre_r, pre_c)) >= 3.0
+    weights = Tensor(rng.normal(size=(8, 4)))
+    report = gradcheck(lambda xx, *ps: (cell(xx) * weights).sum(),
+                       [x] + cell.parameters(), tol=1e-6)
     assert report.passed, report.max_rel_err
 
 

@@ -19,8 +19,11 @@ count. Each side's revision is its commit and the git tree hashes of the
 ``git rev-parse REV:src`` tells whether a commit holds the measured code.
 
 With ``--trace``, after the pairs each tree also runs ``bench/run.py --trace
-1`` once per workload, on seed 1, and the file holds those runs' per-layer
-metrics beside the end-to-end ones.
+1`` three times per workload, on seeds 1 to 3, the side that runs first
+alternating as in the pairs. The file holds those runs beside the end-to-end
+metrics, and per workload, side and per-layer metric of ``BENCHMARK.json``
+the median, minimum and maximum of the three: one traced run a side shows no
+spread between runs.
 
 Usage::
 
@@ -48,6 +51,7 @@ import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
 CLAIM_RULE = ("a gain is claimed only when the change is better in at least 9 of 10 pairs "
               "and its median is better than the parent's by more than the parent's "
               "interquartile range")
@@ -104,6 +108,23 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     }
 
 
+def spread(traced: list[dict], per_layer: list[dict]) -> dict:
+    """Per per-layer metric and side, the median, minimum and maximum over
+    the traced runs that report it."""
+    out = {}
+    for metric in per_layer:
+        name, sides = metric["name"], {}
+        for side in ("parent", "change"):
+            values = [run[side]["metrics"][name]["value"] for run in traced
+                      if name in run[side].get("metrics", {})]
+            if values:
+                sides[side] = {"median": statistics.median(values),
+                               "min": min(values), "max": max(values)}
+        if sides:
+            out[name] = {"unit": metric["unit"], "better": metric["better"], **sides}
+    return out
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -115,7 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace", action="store_true",
-                        help="add one traced run per side and workload: per-layer metrics")
+                        help=f"add {TRACED_RUNS} traced runs per side and workload: "
+                             "per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
@@ -144,14 +166,18 @@ def main(argv=None) -> int:
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: p50 {p50} ms, "
                           f"correct {pair[side]['correct']}", file=sys.stderr)
                 runs[w].append(pair)
-        traces = {w: {side: bench_once(roots[side], w, 1, args.seconds, trace=1)
-                      for side in ("parent", "change")}
-                  for w in (args.workloads if args.trace else [])}
+        traces: dict[str, list[dict]] = {w: [] for w in args.workloads if args.trace}
+        for i in range(TRACED_RUNS if args.trace else 0):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for w in args.workloads:
+                traces[w].append({"seed": 1 + i, "first": order[0],
+                                  **{side: bench_once(roots[side], w, 1 + i, args.seconds,
+                                                      trace=1) for side in order}})
 
-    incorrect = [(w, p["seed"], side) for w, pairs in runs.items() for p in pairs
+    incorrect = [(w, f"{p['seed']}{kind}", side)
+                 for kind, groups in (("", runs), (" traced", traces))
+                 for w, pairs in groups.items() for p in pairs
                  for side in ("parent", "change") if not p[side]["correct"]]
-    incorrect += [(w, "1 traced", side) for w, sides in traces.items()
-                  for side, run in sides.items() if not run["correct"]]
     metrics = {w: {m["name"]: summarize(pairs, m) for m in spec["end_to_end"]}
                for w, pairs in runs.items() if not any(w == bad[0] for bad in incorrect)}
     report = {"label": args.label, "revisions": revisions, "cpu_count": os.cpu_count(),
@@ -160,7 +186,8 @@ def main(argv=None) -> int:
                            "command": "bench/run.py --trace 0", "claim_rule": CLAIM_RULE},
               "metrics": metrics, "runs": runs}
     if args.trace:
-        report["per_layer"] = traces
+        report["per_layer"] = {w: {"spread": spread(traced, spec["per_layer"]), "runs": traced}
+                               for w, traced in traces.items()}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
