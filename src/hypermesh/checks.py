@@ -4,12 +4,16 @@ The numpy reference functions here are deliberately independent of the
 autodiff path: they re-evaluate the defining formulas per vector / per time
 step / per face with plain numpy, and serve as oracles for the vectorized
 Tensor implementations.
+
+The gradcheck registry has one row constructor, ``_entry``; only the
+end-to-end loss's row calls ``gradcheck`` itself.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -393,12 +397,19 @@ def _projected(fn: Callable[..., Tensor], rng: np.random.Generator):
     return scalar
 
 
+def _entry(module: str, name: str, tol: float, draw, max_entries: int | None = None):
+    """The registry's one row constructor: ``draw(rng)`` gives ``(fn, inputs)``,
+    and the row checks ``_projected(fn)`` in all of ``inputs``."""
+    def build(rng):
+        fn, inputs = draw(rng)
+        return gradcheck(_projected(fn, rng), inputs, tol=tol, max_entries=max_entries, rng=rng)
+    return (module, name, build)
+
+
 def _primitive_entries():
     def entry(name, fn, *shapes, low=-1.0, high=1.0):
-        def build(rng):
-            xs = [Tensor(rng.uniform(low, high, size=s)) for s in shapes]
-            return gradcheck(_projected(fn, rng), xs, tol=1e-6)
-        return ("tensor-autodiff", name, build)
+        return _entry("tensor-autodiff", name, 1e-6, lambda rng: (
+            fn, [Tensor(rng.uniform(low, high, size=s)) for s in shapes]))
 
     yield entry("add_broadcast", lambda a, b: a + b, (3, 4), (4,))
     yield entry("sub", lambda a, b: a - b, (3, 4), (3, 4))
@@ -427,7 +438,7 @@ def _primitive_entries():
 
 
 def _layer_entries():
-    """Ball ops and layers; ``build(rng)`` gives the function and its inputs.
+    """Ball ops and layers; each row draws its inputs in order.
 
     The ``*_clamped`` entries put rows past the 1 - eps_ball shell, so that
     the clamp's radial-projection Jacobian is checked; every such input keeps
@@ -436,98 +447,69 @@ def _layer_entries():
     pipeline runs the layers: token rows [T, n, D], condition [T, 1, D_f].
     """
 
-    def entry(name, build, module="hyperlayers"):
-        def check(rng):
-            fn, inputs = build(rng)
-            return gradcheck(_projected(fn, rng), inputs, tol=1e-4)
-        return (module, name, check)
+    def ball(shape, hi=0.6, lo=0.0):
+        return lambda rng: Tensor(random_ball_points(rng, shape, min_norm=lo, max_norm=hi))
 
-    def rows(rng, shape, hi=0.6, lo=0.0):
-        return Tensor(random_ball_points(rng, shape, min_norm=lo, max_norm=hi))
+    def normal(shape, scale=1.0):
+        return lambda rng: Tensor(rng.normal(size=shape) * scale)
 
-    def build_add(rng):
-        return (mobius_add, [rows(rng, (4, 3)), rows(rng, (4, 3))])
+    def op(name, fn, *draws):
+        return _entry("hyperlayers", name, 1e-4, lambda rng: (fn, [d(rng) for d in draws]))
 
-    def build_matvec(rng):
-        w = Tensor(rng.normal(size=(5, 3)) * 0.5)
-        return (mobius_matvec, [w, rows(rng, (4, 3))])
+    def layer(name, make, *draws, module="hyperlayers"):
+        # the layer first, then its inputs; checked in its inputs and all its parameters
+        def draw(rng):
+            m = make(rng)
+            return (lambda *args: m(*args[:len(draws)]), [d(rng) for d in draws] + m.parameters())
+        return _entry(module, name, 1e-4, draw)
 
-    def build_add_clamped(rng):
+    def draw_add_clamped(rng):
         # x (+) y for x, y near-collinear at norm 0.999 lands ~5e-7 from the
         # unit sphere, past the shell; the other rows stay inside
-        x, y = rows(rng, (4, 3), 0.6, 0.1), rows(rng, (4, 3), 0.6, 0.1)
+        x, y = ball((4, 3), 0.6, 0.1)(rng), ball((4, 3), 0.6, 0.1)(rng)
         u = rng.normal(size=3)
         for t in (x, y):
             v = u + rng.normal(size=3) * 1e-3
             t.data[0] = 0.999 * v / np.linalg.norm(v)
         return (mobius_add, [x, y])
 
-    def build_matvec_clamped(rng):
+    def draw_matvec_clamped(rng):
         # gain ~4: a row of norm 0.95 maps to tanh(~7.3), past the shell
         # (the kink is at tanh(6.1)); rows of norm <= 0.3 stay inside
         w = Tensor(4.0 * np.eye(3) + rng.normal(size=(3, 3)) * 0.05)
-        x = rows(rng, (4, 3), 0.3, 0.1)
+        x = ball((4, 3), 0.3, 0.1)(rng)
         x.data[0] = random_ball_points(rng, (3,), min_norm=0.95, max_norm=0.95)
         return (mobius_matvec, [w, x])
 
-    def build_linear(rng):
-        layer = HyperbolicLinear(3, 5, rng)
-        layer.b.data = random_ball_points(rng, (5,), max_norm=0.3)
-        return (lambda xx, *params: layer(xx), [rows(rng, (4, 3))] + layer.parameters())
+    def linear_layer(rng):
+        lin = HyperbolicLinear(3, 5, rng)
+        lin.b.data = random_ball_points(rng, (5,), max_norm=0.3)
+        return lin
 
-    def build_adaln(rng, lead=()):
-        layer = HyperAdaLN(8, 6, rng)
-        x = rows(rng, lead + (4, 8))
-        cond = Tensor(rng.normal(size=lead + (1,) * len(lead) + (6,)))
-        return (lambda xx, cc, *params: layer(xx, cc), [x, cond] + layer.parameters())
-
-    def build_attention(rng, lead=()):
-        att = HyperAttention(8, 2, rng)
-        q, k = rows(rng, lead + (4, 8)), rows(rng, lead + (5, 8))
-        return (lambda qq, kk, *params: att(qq, kk), [q, k] + att.parameters())
-
-    def build_ffn(rng):
-        ffn = HyperFFN(6, rng)
-        return (lambda xx, *params: ffn(xx), [rows(rng, (4, 6))] + ffn.parameters())
-
-    def build_gru(rng):
-        cell = GruCell(4, 3, rng)
-        x = Tensor(rng.normal(size=(4, 4)))
-        return (lambda xx, *params: cell(xx), [x] + cell.parameters())
-
-    def build_msa(rng):
-        att = EuclideanAttention(8, 2, rng)
-        x = Tensor(rng.normal(size=(4, 8)))
-        return (lambda xx, *params: att(xx), [x] + att.parameters())
-
-    def build_pose_motion(rng):
-        ext = PoseMotionExtractor(3, rng)
-        x = Tensor(rng.normal(size=(4, 3, 3)) * 0.3)
-        return (lambda xx, *params: ext(xx), [x] + ext.parameters())
-
-    yield entry("mobius_add", build_add)
-    yield entry("expmap0", lambda rng: (expmap0, [Tensor(rng.normal(size=(4, 3)))]))
-    yield entry("logmap0", lambda rng: (logmap0, [rows(rng, (4, 3))]))
-    yield entry("mobius_matvec", build_matvec)
+    yield op("mobius_add", mobius_add, ball((4, 3)), ball((4, 3)))
+    yield op("expmap0", expmap0, normal((4, 3)))
+    yield op("logmap0", logmap0, ball((4, 3)))
+    yield op("mobius_matvec", mobius_matvec, normal((5, 3), 0.5), ball((4, 3)))
     # a weight slice per block: w [2, 5, 3] against rows [T, 2, 4, 3]
-    yield entry("mobius_matvec_blocks", lambda rng: (mobius_matvec, [
-        Tensor(rng.normal(size=(2, 5, 3)) * 0.5), rows(rng, (3, 2, 4, 3))]))
-    yield entry("project_to_ball_clamped", lambda rng: (
-        project_to_ball, [rows(rng, (4, 3), 3.0, 1.2)]))
+    yield op("mobius_matvec_blocks", mobius_matvec, normal((2, 5, 3), 0.5), ball((3, 2, 4, 3)))
+    yield op("project_to_ball_clamped", project_to_ball, ball((4, 3), 3.0, 1.2))
     # tanh(n/2) passes 1 - eps_ball at n ~ 12.2
-    yield entry("expmap0_clamped", lambda rng: (expmap0, [rows(rng, (4, 3), 30.0, 15.0)]))
-    yield entry("mobius_add_clamped", build_add_clamped)
-    yield entry("mobius_matvec_clamped", build_matvec_clamped)
-    yield entry("hyper_attention_frames", lambda rng: build_attention(rng, (3,)))
-    yield entry("hyper_adaln_frames", lambda rng: build_adaln(rng, (3,)))
-    yield entry("hyperbolic_linear", build_linear)
-    yield entry("hyper_gelu", lambda rng: (hyper_gelu, [rows(rng, (4, 3))]))
-    yield entry("hyper_adaln", build_adaln)
-    yield entry("hyper_attention", build_attention)
-    yield entry("hyper_ffn", build_ffn)
-    yield entry("gru_cell", build_gru, module="temporal")
-    yield entry("euclidean_attention", build_msa, module="temporal")
-    yield entry("pose_motion_extract", build_pose_motion, module="temporal")
+    yield op("expmap0_clamped", expmap0, ball((4, 3), 30.0, 15.0))
+    yield _entry("hyperlayers", "mobius_add_clamped", 1e-4, draw_add_clamped)
+    yield _entry("hyperlayers", "mobius_matvec_clamped", 1e-4, draw_matvec_clamped)
+    yield layer("hyper_attention_frames", partial(HyperAttention, 8, 2),
+                ball((3, 4, 8)), ball((3, 5, 8)))
+    yield layer("hyper_adaln_frames", partial(HyperAdaLN, 8, 6), ball((3, 4, 8)), normal((3, 1, 6)))
+    yield layer("hyperbolic_linear", linear_layer, ball((4, 3)))
+    yield op("hyper_gelu", hyper_gelu, ball((4, 3)))
+    yield layer("hyper_adaln", partial(HyperAdaLN, 8, 6), ball((4, 8)), normal((6,)))
+    yield layer("hyper_attention", partial(HyperAttention, 8, 2), ball((4, 8)), ball((5, 8)))
+    yield layer("hyper_ffn", partial(HyperFFN, 6), ball((4, 6)))
+    yield layer("gru_cell", partial(GruCell, 4, 3), normal((4, 4)), module="temporal")
+    yield layer("euclidean_attention", partial(EuclideanAttention, 8, 2), normal((4, 8)),
+                module="temporal")
+    yield layer("pose_motion_extract", partial(PoseMotionExtractor, 3), normal((4, 3, 3), 0.3),
+                module="temporal")
 
 
 def _block_entries():
@@ -538,15 +520,14 @@ def _block_entries():
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8,
                          heads=2, n_coarse=6, n_fine=10, seed=11, steps=0)
 
-    def run_pair(rng, lead=()):
+    def draw_pair(rng, lead=()):
         # both blocks in one call; lead=(T,) adds frames: cond [T, 1, 1, D_f], pose [T, 2, J, 3]
         block = build_pipeline(cfg, synth_generate(cfg)).blocks
         tm_row = Tensor(rng.normal(size=lead + (1, 1) * len(lead) + (cfg.feat_dim,)) * 0.2)
         pose = Tensor(rng.normal(size=lead + (2, cfg.n_joints, 3)) * 0.3)
         m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
-        fn = _projected(lambda mi, tr, po, *params: block(mi, tr, po), rng)
-        return gradcheck(fn, [m_init, tm_row, pose] + block.parameters(),
-                         tol=1e-3, max_entries=3, rng=rng)
+        return (lambda mi, tr, po, *params: block(mi, tr, po),
+                [m_init, tm_row, pose] + block.parameters())
 
     def run_total_loss(rng):
         scene = synth_generate(cfg)
@@ -556,10 +537,9 @@ def _block_entries():
         return gradcheck(lambda *ps: scene_loss(pipeline, scene, cfg),
                          subset, tol=1e-3, max_entries=2, rng=rng)
 
-    for name, build in (("block_pair", run_pair),
-                        ("block_pair_frames", lambda rng: run_pair(rng, (cfg.t_frames,))),
-                        ("total_loss_end_to_end", run_total_loss)):
-        yield ("mesh-pipeline", name, build)
+    for name, lead in (("block_pair", ()), ("block_pair_frames", (cfg.t_frames,))):
+        yield _entry("mesh-pipeline", name, 1e-3, partial(draw_pair, lead=lead), max_entries=3)
+    yield ("mesh-pipeline", "total_loss_end_to_end", run_total_loss)
 
 
 def gradcheck_registry() -> list[tuple[str, str, Callable[..., GradcheckReport]]]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .manifold import DEFAULT_PARAMS, BallParams
-from .tensor_io import atomic_write, unique_keys
+from .tensor_io import atomic_write, read_json_object
 
 # accepted value types, by field annotation
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
@@ -92,11 +92,4 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh, object_pairs_hook=unique_keys)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path, ConfigError, "config"))

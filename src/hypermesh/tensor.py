@@ -12,6 +12,11 @@ A tape holds activations, never a parameter's array: a backward closure reads
 an operand's values through its :class:`Tensor` when it runs, not through an
 array kept from the forward. ``SGD.step`` replaces every parameter's
 ``.data``, and a tape kept past the step must not keep the old weights alive.
+
+An op's output array is read-only: an in-place write into an activation
+raises ``ValueError``. Not caught: a write into a leaf, or through the base of
+a view (``reshape``, basic indexing). ``project_to_ball`` returns its
+operand's own array when it rescales no row; that array becomes read-only too.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ def tape_order(root: Tensor) -> list[Tensor]:
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(data)
+    out.data.setflags(write=False)
     out._op = op
     if any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -1,5 +1,5 @@
-"""Binary tensor files, JSON-manifest checkpoints, and the atomic file
-write every artifact goes through.
+"""Binary tensor files, JSON-manifest checkpoints, the atomic write every
+artifact goes through, and the strict JSON reader of configs and manifests.
 
 Tensor file layout: 8-byte magic ``GYMTENSR``, u32 rank, u32 dims[rank],
 then little-endian float64 payload in row-major order. Round-trips are
@@ -47,14 +47,25 @@ def atomic_write(path: str | Path, mode: str = "w"):
         raise
 
 
-def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``json.load``'s ``object_pairs_hook``: a key given twice raises ``ValueError``."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"key {key!r} given twice")
-        out[key] = value
-    return out
+def read_json_object(path: str | Path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the file at ``path``. Raises ``error`` when the file is
+    not UTF-8 JSON, nests too deep, gives a key twice or holds no ``what`` object."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ValueError(f"key {key!r} given twice")
+            out[key] = value
+        return out
+
+    try:
+        with open(path) as fh:
+            data = json.load(fh, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return data
 
 
 def save_tensor(path: str | Path, array: np.ndarray) -> None:
@@ -114,13 +125,7 @@ def save_checkpoint(directory: str | Path, params: dict[str, np.ndarray]) -> Pat
 
 def load_checkpoint(manifest_path: str | Path) -> dict[str, np.ndarray]:
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh, object_pairs_hook=unique_keys)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
-            raise ContractError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise ContractError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = read_json_object(manifest_path, ContractError, "manifest")
     for name, entry in manifest.items():
         # a bool or a float would compare equal to an int dimension
         if not (isinstance(entry, dict) and list(entry) == ["shape"]

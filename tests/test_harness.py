@@ -990,6 +990,17 @@ def test_gradcheck_inputs_depend_on_the_entry_name_alone(monkeypatch):
     assert errors(temporal[::-1]) == alone
 
 
+def test_gradcheck_registry_names_are_unique_and_modules_selectable():
+    # an entry's inputs are seeded from its name alone, so a duplicate name
+    # would check the same inputs twice; `gradcheck --module` names these four
+    from hypermesh import checks
+    registry = checks.gradcheck_registry()
+    names = [name for _, name, _ in registry]
+    assert len(names) == len(set(names))
+    assert {module for module, _, _ in registry} == {
+        "tensor-autodiff", "hyperlayers", "temporal", "mesh-pipeline"}
+
+
 def test_benchmark_tracer_binds_every_name(monkeypatch):
     # the benchmark wraps these names from outside the package; a name that
     # moves or goes would silently drop its figures from a traced run

@@ -344,6 +344,31 @@ def test_ablated_tape_holds_no_view_of_a_parameter():
     assert not [a.shape for a in held for o in old if np.shares_memory(a, o)]
 
 
+def test_an_in_place_write_into_a_taped_activation_raises():
+    # a backward closure reads the activations it captured when it runs; a
+    # write into one after the forward would give a wrong gradient silently
+    cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
+                         n_coarse=6, n_fine=10, steps=0)
+    scene = synth_generate(cfg)
+    pipe = build_pipeline(cfg, scene)
+    loss = scene_loss(pipe, scene, cfg)
+    nodes = [n for n in T.tape_order(loss) if n._parents]
+    assert len(nodes) == 129
+    for node in nodes:
+        with pytest.raises(ValueError, match="read-only"):
+            node.data[...] = 0.0
+    loss.backward()
+    # leaves stay writable: the optimizer writes them after backward
+    for p in pipe.parameters():
+        assert np.isfinite(p.grad).all()
+        p.data[...] -= 0.01 * p.grad
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = T.tanh(x)
+    x.data[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        y.data[0, 0] = 0.0
+
+
 def test_scene_loss_backward_keeps_grads_only_on_parameters():
     cfg = PipelineConfig(t_frames=4, n_joints=3, feat_dim=8, model_dim=8, heads=2,
                          n_coarse=6, n_fine=10, steps=0)

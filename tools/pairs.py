@@ -52,9 +52,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3
-CLAIM_RULE = ("a gain is claimed only when the change is better in at least 9 of 10 pairs "
-              "and its median is better than the parent's by more than the parent's "
-              "interquartile range")
+MIN_CLAIM_PAIRS = 10
+CLAIM_RULE = (f"a gain is claimed only from at least {MIN_CLAIM_PAIRS} pairs, when the "
+              "change is better in at least 9 of 10 of them and its median is better than "
+              "the parent's by more than the parent's interquartile range")
 
 
 def git(*args: str) -> str:
@@ -104,7 +105,8 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
         "change": {"median": q_change[1], "q1": q_change[0], "q3": q_change[2]},
         "relative_change": q_change[1] / q_parent[1] - 1.0,
         "wins": wins, "pairs": len(pairs),
-        "claimable": wins >= 0.9 * len(pairs) and gain > q_parent[2] - q_parent[0],
+        "claimable": (len(pairs) >= MIN_CLAIM_PAIRS and wins >= 0.9 * len(pairs)
+                      and gain > q_parent[2] - q_parent[0]),
     }
 
 
