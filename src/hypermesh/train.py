@@ -1,8 +1,8 @@
-"""Toy training harness: full-batch gradient descent on one synthetic scene,
-with ball re-projection after every parameter update, loss-curve CSV, and
-bit-exact checkpointing. The loss and the predictions read the pair that
-``MeshPipeline.run_sequence`` returns: the fused coarse mesh and the fine mesh.
-Only ``train_toy`` reads ``template_mesh_path``: the file is the initial ``template``
+"""Toy training harness: full-batch gradient descent on one synthetic scene, with ball
+re-projection after every update, loss-curve CSV and bit-exact checkpointing.
+``Trainer`` owns the step and ``train_toy`` loops over it. The loss and predictions
+read the pair ``MeshPipeline.run_sequence`` returns: the fused coarse and fine meshes.
+Only ``Trainer`` reads ``template_mesh_path``: the file is the initial ``template``
 state entry, checked as a checkpoint entry is; evaluation reads the checkpoint's."""
 
 from __future__ import annotations
@@ -101,35 +101,45 @@ class TrainResult:
         return self.losses[-1]
 
 
+class Trainer:
+    """One training step a call: owns the seeded pipeline (with the template file's
+    values when ``cfg.template_mesh_path`` is set), SGD and the cosine rate, whose
+    position wraps modulo ``cfg.steps``. Keeps no loss; ``step`` returns it."""
+
+    def __init__(self, cfg: PipelineConfig, scene: SyntheticScene):
+        self.cfg, self.scene, self.position = cfg, scene, 0
+        self.pipeline = pipeline = build_pipeline(cfg, scene)
+        if cfg.template_mesh_path:
+            pipeline.load_state_dict({**pipeline.state_dict(),
+                                      "template": load_tensor(cfg.template_mesh_path)})
+        self.opt = SGD(pipeline.parameters(), pipeline.ball_parameters(),
+                       lr=cfg.learning_rate, momentum=cfg.momentum)
+
+    def step(self) -> Tensor:
+        cfg, step = self.cfg, self.position
+        # cosine decay: full-batch descent oscillates at a constant rate,
+        # annealing to zero lets the loss settle instead of cycling
+        self.opt.lr = cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / cfg.steps))
+        self.opt.zero_grad()
+        loss = scene_loss(self.pipeline, self.scene, cfg, disable_hmo=cfg.disable_hmo)
+        if not np.isfinite(loss.item()):
+            raise NumericError(f"training aborted at step {step}: {_nonfinite_source(loss)}")
+        loss.backward()
+        self.opt.step()
+        self.position = (step + 1) % cfg.steps
+        return loss
+
+
 def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
     """Train on ``synth_generate(cfg)``; write the loss curve and checkpoint to ``out_dir``."""
     scene = synth_generate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pipeline = build_pipeline(cfg, scene)
-    if cfg.template_mesh_path:
-        pipeline.load_state_dict({**pipeline.state_dict(),
-                                  "template": load_tensor(cfg.template_mesh_path)})
-    opt = SGD(pipeline.parameters(), pipeline.ball_parameters(),
-              lr=cfg.learning_rate, momentum=cfg.momentum)
-
-    losses: list[float] = []
-    for step in range(cfg.steps):
-        # cosine decay: full-batch descent oscillates at a constant rate,
-        # annealing to zero lets the loss settle instead of cycling
-        opt.lr = cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / cfg.steps))
-        opt.zero_grad()
-        loss = scene_loss(pipeline, scene, cfg, disable_hmo=cfg.disable_hmo)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericError(
-                f"training aborted at step {step}: {_nonfinite_source(loss)}")
-        losses.append(value)
-        loss.backward()
-        opt.step()
+    trainer = Trainer(cfg, scene)
+    losses = [trainer.step().item() for _ in range(cfg.steps)]
     if not losses:
-        losses.append(scene_loss(pipeline, scene, cfg,
+        losses.append(scene_loss(trainer.pipeline, scene, cfg,
                                  disable_hmo=cfg.disable_hmo).item())
 
     curve_path = out / "loss_curve.csv"
@@ -138,7 +148,7 @@ def train_toy(cfg: PipelineConfig, *, out_dir: str | Path) -> TrainResult:
         for i, v in enumerate(losses):
             fh.write(f"{i},{v:.12g}\n")
 
-    ckpt_path = save_checkpoint(out / "checkpoint", pipeline.state_dict())
+    ckpt_path = save_checkpoint(out / "checkpoint", trainer.pipeline.state_dict())
     return TrainResult(losses=losses, checkpoint_path=ckpt_path,
                        loss_curve_path=curve_path)
 

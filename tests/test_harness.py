@@ -1009,6 +1009,28 @@ def test_benchmark_tracer_binds_every_name(monkeypatch):
     assert tracer.Tracer().missing == []
 
 
+@pytest.mark.parametrize("disable_hmo", [False, True], ids=["default", "disable_hmo"])
+def test_trainer_steps_bit_for_bit_as_the_benchmark_step(monkeypatch, tmp_path, disable_hmo):
+    # the benchmark is to drive its training step through Trainer, which must
+    # keep its bits; 7 steps at steps=3 cross the cosine schedule's wrap twice
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    from hypermesh.train import Trainer
+
+    cfg = _small_cfg(steps=3, disable_hmo=disable_hmo)
+    state = workloads.build_state("train", cfg, cfg.seed, tmp_path)
+    trainer = Trainer(cfg, synth_generate(cfg))
+    for _ in range(7):
+        want = workloads.train_step(state)
+        got = trainer.step()
+        assert got.data.tobytes() == want.data.tobytes()
+        params = trainer.pipeline.named_parameters()
+        bench_params = state.pipeline.named_parameters()
+        assert sorted(params) == sorted(bench_params)
+        assert all(p.data.tobytes() == bench_params[k].data.tobytes()
+                   for k, p in params.items())
+
+
 def test_benchmark_tracer_accounts_for_every_node(monkeypatch, tmp_path):
     # a traced training step and predict, as the benchmark traces them: the
     # self-node counts of the spans sum to the node counter, and the kept

@@ -3,12 +3,23 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+from hypermesh import checks
+from hypermesh.tensor import Tensor
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _tool("pairs")
+artifacts = _tool("artifacts")
 
 P50 = {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.2}
 
@@ -42,3 +53,16 @@ def test_pairs_claims_a_gain_only_from_ten_pairs_nine_wins_and_beyond_the_iqr(
 def test_pairs_claim_rule_states_the_ten_pair_minimum():
     assert pairs.MIN_CLAIM_PAIRS == 10
     assert "at least 10 pairs" in pairs.CLAIM_RULE
+
+
+def test_propcheck_figures_see_a_one_ulp_move_that_every_check_passes(monkeypatch):
+    # hypermesh propcheck prints only PASS rows and case counts, so its stdout
+    # hash cannot see this plant; the figures hash must
+    figures, rows = artifacts.propcheck_figures()
+    mobius_add = checks.mobius_add
+    monkeypatch.setattr(checks, "mobius_add",
+                        lambda x, y: Tensor(np.nextafter(mobius_add(x, y).data, np.inf)))
+    planted, planted_rows = artifacts.propcheck_figures()
+    assert all(row["passed"] for row in rows)
+    assert planted_rows == rows
+    assert planted != figures

@@ -16,8 +16,12 @@ runs:
   parameters plus U(-0.02, 0.02) noise drawn from ``default_rng([3, 1])``;
 - ``criterion_8``: the final losses of acceptance criterion 8's full and
   ablated 1,500-step runs (about a minute);
+- ``propcheck_figures``: every figure that ``hypermesh.checks.run_propchecks``
+  compares with a bound, one ``figure=repr(value)`` line each, in one hash;
 - ``gradcheck`` and ``propcheck``: the stdout of ``python -m hypermesh.cli
   gradcheck`` and ``propcheck``, which print each check's error or case count.
+  ``propcheck`` prints no figure, so only ``propcheck_figures`` sees a bit that
+  moves inside a passing property check.
 
 Usage::
 
@@ -51,7 +55,7 @@ TRAIN_RUNS = {
 }
 EVAL_RUNS = {"eval_t4": {"seed": 3}, "eval_t32": {"seed": 3, "t_frames": 32}}
 CLI_RUNS = ("gradcheck", "propcheck")
-RUNS = [*TRAIN_RUNS, *EVAL_RUNS, "criterion_8", *CLI_RUNS]
+RUNS = [*TRAIN_RUNS, *EVAL_RUNS, "criterion_8", "propcheck_figures", *CLI_RUNS]
 EVAL_NOISE = 0.02
 
 
@@ -70,6 +74,26 @@ def checkpoint_digest(manifest: Path) -> str:
         h.update(json.dumps([name, list(arr.shape)]).encode())
         h.update(arr.astype("<f8").tobytes())
     return h.hexdigest()[:16]
+
+
+def propcheck_figures() -> tuple[str, list[dict]]:
+    """sha256 prefix of every figure the property checks hand to
+    ``checks._below``, as ``figure=repr(value)`` lines, and the checks' rows."""
+    from hypermesh import checks
+
+    h = hashlib.sha256()
+    below = checks._below
+
+    def recording_below(figure, value, bound):
+        h.update(f"{figure}={value!r}\n".encode())
+        below(figure, value, bound)
+
+    checks._below = recording_below
+    try:
+        rows = checks.run_propchecks()
+    finally:
+        checks._below = below
+    return h.hexdigest()[:16], rows
 
 
 def run_one(name: str, workdir: Path) -> dict:
@@ -99,26 +123,35 @@ def run_one(name: str, workdir: Path) -> dict:
         manifest = save_checkpoint(workdir / "checkpoint", params)
         evaluate(cfg, manifest, workdir / "report.csv", scene=scene)
         return {"report": digest(workdir / "report.csv")}
+    if name == "propcheck_figures":
+        return {"figures": propcheck_figures()[0]}
     full = train_toy(PipelineConfig(), out_dir=workdir / "full")
     ablated = train_toy(PipelineConfig(disable_hmo=True), out_dir=workdir / "ablated")
     return {"full": full.final_loss, "ablated": ablated.final_loss}
 
 
-def table() -> dict:
-    """Every run, each in a fresh interpreter."""
+def fresh_run(args: list[str], label: str) -> str:
+    """The stdout of ``python *args`` in a fresh interpreter with one OpenBLAS
+    thread and this checkout's ``src/`` first on the path; exits naming
+    ``label`` if the child fails."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{label} failed (exit {proc.returncode}):\n{proc.stderr}")
+    return proc.stdout
+
+
+def table() -> dict:
+    """Every run, each in a fresh interpreter."""
     out = {}
     for name in RUNS:
         cli = name in CLI_RUNS
-        proc = subprocess.run([sys.executable, *(["-m", "hypermesh.cli", name] if cli
-                                                 else [__file__, "--run", name])],
-                              env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.exit(f"run {name} failed (exit {proc.returncode}):\n{proc.stderr}")
-        out[name] = ({"stdout": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]} if cli
-                     else json.loads(proc.stdout.splitlines()[-1]))
+        stdout = fresh_run(["-m", "hypermesh.cli", name] if cli else [__file__, "--run", name],
+                           f"run {name}")
+        out[name] = ({"stdout": hashlib.sha256(stdout.encode()).hexdigest()[:16]} if cli
+                     else json.loads(stdout.splitlines()[-1]))
     return out
 
 

@@ -5,8 +5,8 @@ For each seed ``s`` it runs ``train_toy`` on ``PipelineConfig(seed=s)`` and on
 steps, and prints one JSON line per seed with each run's initial, peak and
 final loss. Each seed runs in a fresh interpreter with
 ``OPENBLAS_NUM_THREADS=1`` and imports ``hypermesh`` from this checkout's
-``src/``, as ``tools/artifacts.py`` does. It takes about 4 minutes on two
-cores.
+``src/``, through ``tools/artifacts.py``'s ``fresh_run``. It takes about 4-5
+minutes on two cores.
 
 Usage::
 
@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from artifacts import fresh_run  # tools/ is on the path when this runs as a script
+
 SEEDS = range(9)
 
 
@@ -48,15 +46,9 @@ def main(argv=None) -> int:
     if args.seed is not None:
         print(json.dumps(run_seed(args.seed)))
         return 0
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
     for seed in SEEDS:
-        proc = subprocess.run([sys.executable, __file__, "--seed", str(seed)], env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.exit(f"seed {seed} failed (exit {proc.returncode}):\n{proc.stderr}")
-        print(proc.stdout.splitlines()[-1], flush=True)
+        stdout = fresh_run([__file__, "--seed", str(seed)], f"seed {seed}")
+        print(stdout.splitlines()[-1], flush=True)
     return 0
 
 
