@@ -324,7 +324,7 @@ def check_adaln_oracle(cases: int = 20, seed: int = 7, tol: float = 1e-10) -> in
         layer = HyperAdaLN(8, 6, rng)
         x = random_ball_points(rng, (5, 8), max_norm=0.8)
         cond = rng.normal(size=6)
-        got = layer(Tensor(x), Tensor(cond)).data
+        got = layer(Tensor(x), Tensor(cond[None])).data
         want = adaln_oracle(layer, x, cond)
         _below("max |AdaLN - composition oracle|", np.abs(got - want).max(), tol)
     return cases
@@ -502,7 +502,7 @@ def _layer_entries():
     yield layer("hyper_adaln_frames", partial(HyperAdaLN, 8, 6), ball((3, 4, 8)), normal((3, 1, 6)))
     yield layer("hyperbolic_linear", linear_layer, ball((4, 3)))
     yield op("hyper_gelu", hyper_gelu, ball((4, 3)))
-    yield layer("hyper_adaln", partial(HyperAdaLN, 8, 6), ball((4, 8)), normal((6,)))
+    yield layer("hyper_adaln", partial(HyperAdaLN, 8, 6), ball((4, 8)), normal((1, 6)))
     yield layer("hyper_attention", partial(HyperAttention, 8, 2), ball((4, 8)), ball((5, 8)))
     yield layer("hyper_ffn", partial(HyperFFN, 6), ball((4, 6)))
     yield layer("gru_cell", partial(GruCell, 4, 3), normal((4, 4)), module="temporal")
@@ -523,7 +523,7 @@ def _block_entries():
     def draw_pair(rng, lead=()):
         # both blocks in one call; lead=(T,) adds frames: cond [T, 1, 1, D_f], pose [T, 2, J, 3]
         block = build_pipeline(cfg, synth_generate(cfg)).blocks
-        tm_row = Tensor(rng.normal(size=lead + (1, 1) * len(lead) + (cfg.feat_dim,)) * 0.2)
+        tm_row = Tensor(rng.normal(size=lead + (1,) * (len(lead) + 1) + (cfg.feat_dim,)) * 0.2)
         pose = Tensor(rng.normal(size=lead + (2, cfg.n_joints, 3)) * 0.3)
         m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
         return (lambda mi, tr, po, *params: block(mi, tr, po),

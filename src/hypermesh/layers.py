@@ -67,7 +67,8 @@ class HyperAdaLN(Module):
     The tangent image of each token row is normalized over the feature axis,
     then scaled/shifted by affine projections of a conditioning vector. The
     scale projection's bias starts at 1 so an untrained layer is near-identity.
-    A cond [T, 1, cond_dim] conditions frame t's token rows on its row t.
+    ``cond`` keeps its row axis: [1, cond_dim] conditions token rows [n, feat_dim],
+    and [T, 1, cond_dim] conditions frame t's rows [T, n, feat_dim] on its row t.
     """
 
     eps_var = 1e-5  # added to the variance before its square root
@@ -77,8 +78,6 @@ class HyperAdaLN(Module):
         self.beta_proj = Linear(cond_dim, feat_dim, rng)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        if cond.ndim == 1:
-            cond = cond.reshape(1, cond.shape[0])
         t_hat = T.normalize(logmap0(x), self.eps_var)
         gamma = self.gamma_proj(cond)
         beta = self.beta_proj(cond)

@@ -117,7 +117,7 @@ def project_to_ball(x: Tensor) -> Tensor:
     vectors get the radial-projection Jacobian. See :func:`ball_clamp`.
     """
     data, vjp = ball_clamp(x.data)
-    return T._make(data, "project_to_ball", (x,), lambda g: (vjp(g),))
+    return T._make(data.view(), "project_to_ball", (x,), lambda g: (vjp(g),))
 
 
 def mobius_add(x: Tensor, y: Tensor) -> Tensor:

@@ -95,21 +95,15 @@ def accel_error(pred_joints, gt_joints) -> float:
     return float(np.linalg.norm(a_pred - a_gt, axis=-1).mean() * M_TO_MM)
 
 
-def frame_errors(pred_joints, gt_joints, pred_verts, gt_verts,
-                 root_idx: int = 0) -> dict[str, np.ndarray]:
-    """Per-frame MPJPE, PA-MPJPE and MPVPE in mm, each a [T] array."""
-    return {"mpjpe_mm": _frame_mpjpe(pred_joints, gt_joints, root_idx),
-            "pa_mpjpe_mm": _frame_pa_mpjpe(pred_joints, gt_joints, root_idx),
-            "mpvpe_mm": _frame_mpvpe(pred_verts, gt_verts)}
-
-
 def write_metric_report(path, pred_joints, gt_joints, pred_verts, gt_verts,
                         root_idx: int = 0) -> dict[str, float]:
     """CSV with one row per frame plus a final sequence acceleration row.
 
     Returns each column's mean over the frames, and ``accel_error_mm``.
     """
-    columns = frame_errors(pred_joints, gt_joints, pred_verts, gt_verts, root_idx)
+    columns = {"mpjpe_mm": _frame_mpjpe(pred_joints, gt_joints, root_idx),
+               "pa_mpjpe_mm": _frame_pa_mpjpe(pred_joints, gt_joints, root_idx),
+               "mpvpe_mm": _frame_mpvpe(pred_verts, gt_verts)}
     accel = accel_error(pred_joints, gt_joints)
     with atomic_write(path) as fh:
         fh.write("frame," + ",".join(columns) + "\n")

@@ -1,8 +1,10 @@
 """Tiny parameter-container base class.
 
-Modules hold Tensors (parameters) and child Modules as attributes; parameter
-names are derived from attribute paths, in sorted order, so checkpoints are
-stable across runs (``MeshPipeline`` writes and reads them).
+Modules hold Tensors and child Modules as attributes. Every Tensor a module
+holds is a parameter, frozen or not: ``requires_grad`` decides only whether
+ops on it are taped. Parameter names are derived from attribute paths, in
+sorted order, so checkpoints are stable across runs (``MeshPipeline`` writes
+and reads them).
 """
 
 from __future__ import annotations
@@ -14,27 +16,24 @@ class Module:
     # attribute names whose tensors must stay on the Poincare ball
     ball_param_names: tuple[str, ...] = ()
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def _walk(self, prefix: str = ""):
+        """(name, is-ball, tensor) of every Tensor in the tree, attributes in sorted order."""
         for name in sorted(vars(self)):
             value = getattr(self, name)
-            if isinstance(value, Tensor) and value.requires_grad:
-                out[prefix + name] = value
+            if isinstance(value, Tensor):
+                yield prefix + name, name in self.ball_param_names, value
             elif isinstance(value, Module):
-                out.update(value.named_parameters(prefix + name + "."))
-        return out
+                yield from value._walk(prefix + name + ".")
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {name: p for name, _, p in self._walk()}
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
+        return [p for _, _, p in self._walk()]
 
     def ball_parameters(self) -> list[Tensor]:
         """Parameters constrained to the ball (re-projected after updates)."""
-        out = [getattr(self, n) for n in self.ball_param_names]
-        for name in sorted(vars(self)):
-            value = getattr(self, name)
-            if isinstance(value, Module):
-                out.extend(value.ball_parameters())
-        return out
+        return [p for _, ball, p in self._walk() if ball]
 
     def zero_grad(self) -> None:
         for p in self.parameters():

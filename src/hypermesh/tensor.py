@@ -15,8 +15,8 @@ array kept from the forward. ``SGD.step`` replaces every parameter's
 
 An op's output array is read-only: an in-place write into an activation
 raises ``ValueError``. Not caught: a write into a leaf, or through the base of
-a view (``reshape``, basic indexing). ``project_to_ball`` returns its
-operand's own array when it rescales no row; that array becomes read-only too.
+a view (``reshape``, basic indexing). An op that returns its operand's values
+unchanged tapes a view of them, so the operand stays writable.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ def read_json_object(path: str | Path, error: type[Exception], what: str) -> dic
         return out
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep, a key twice
         raise error(f"{path}: invalid JSON ({exc})") from None

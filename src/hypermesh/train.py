@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import PipelineConfig
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 from .losses import euclidean_losses, hyperbolic_mesh_loss, total_loss
 from .manifold import BallParams, DEFAULT_PARAMS, ball_clamp
 from .metrics import write_metric_report
@@ -104,7 +104,8 @@ class TrainResult:
 class Trainer:
     """One training step a call: owns the seeded pipeline (with the template file's
     values when ``cfg.template_mesh_path`` is set), SGD and the cosine rate, whose
-    position wraps modulo ``cfg.steps``. Keeps no loss; ``step`` returns it."""
+    position wraps modulo ``cfg.steps`` (``step`` raises ``ContractError`` at 0).
+    Keeps no loss; ``step`` returns it."""
 
     def __init__(self, cfg: PipelineConfig, scene: SyntheticScene):
         self.cfg, self.scene, self.position = cfg, scene, 0
@@ -117,6 +118,8 @@ class Trainer:
 
     def step(self) -> Tensor:
         cfg, step = self.cfg, self.position
+        if cfg.steps == 0:
+            raise ContractError("Trainer.step needs steps >= 1; this config has steps = 0")
         # cosine decay: full-batch descent oscillates at a constant rate,
         # annealing to zero lets the loss settle instead of cycling
         self.opt.lr = cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / cfg.steps))

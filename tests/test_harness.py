@@ -820,12 +820,28 @@ def test_cli_gradcheck_filtered(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def _run_fresh(code: str, *argv: str, cwd, timeout: float = 600) -> subprocess.CompletedProcess:
-    """Runs ``code`` in a new interpreter that imports this package's source."""
+def _run_fresh(code: str, *argv: str, cwd, timeout: float = 600,
+               env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Runs ``code`` in a new interpreter that imports this package's source,
+    with the variables ``env`` adds to this one's environment."""
     path = [str(Path(hypermesh.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True,
                           text=True, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                               **(env or {})})
+
+
+def test_a_utf8_config_loads_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259): the locale's codec must not decide how a config reads
+    fields = {**dataclasses.asdict(_small_cfg()), "template_mesh_path": "caf\u00e9.gymt"}
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(fields, ensure_ascii=False).encode("utf-8"))
+    done = _run_fresh("import sys; from hypermesh.config import PipelineConfig; "
+                      "print(ascii(PipelineConfig.load(sys.argv[1]).template_mesh_path))",
+                      str(path), cwd=tmp_path,
+                      env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ascii("caf\u00e9.gymt")
 
 
 def test_runtime_loads_no_scipy(tmp_path):
@@ -1029,6 +1045,18 @@ def test_trainer_steps_bit_for_bit_as_the_benchmark_step(monkeypatch, tmp_path, 
         assert sorted(params) == sorted(bench_params)
         assert all(p.data.tobytes() == bench_params[k].data.tobytes()
                    for k, p in params.items())
+
+
+def test_trainer_step_at_zero_steps_names_steps_and_leaves_the_optimizer():
+    from hypermesh.train import Trainer
+
+    cfg = _small_cfg(steps=0)
+    trainer = Trainer(cfg, synth_generate(cfg))
+    before = [p.data.tobytes() for p in trainer.pipeline.parameters()]
+    with pytest.raises(ContractError, match="steps"):
+        trainer.step()
+    assert trainer.opt.lr == cfg.learning_rate and trainer.position == 0
+    assert [p.data.tobytes() for p in trainer.pipeline.parameters()] == before
 
 
 def test_benchmark_tracer_accounts_for_every_node(monkeypatch, tmp_path):

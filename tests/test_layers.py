@@ -81,7 +81,7 @@ def test_adaln_fresh_layer_near_identity_at_zero_cond():
     layer.gamma_proj.w.data[:] = 0.0
     layer.beta_proj.w.data[:] = 0.0
     x = random_ball_points(rng, (3, 6), max_norm=0.7)
-    out = layer(Tensor(x), Tensor(np.zeros(4))).data
+    out = layer(Tensor(x), Tensor(np.zeros((1, 4)))).data
     want = adaln_oracle(layer, x, np.zeros(4))
     np.testing.assert_allclose(out, want, atol=1e-12)
     t = logmap0(Tensor(out)).data

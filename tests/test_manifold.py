@@ -7,6 +7,7 @@ from hypermesh.checks import (check_ball_closure, check_manifold_identities,
                               check_matvec_formulations, check_noncommutativity,
                               np_mobius_add, random_ball_points)
 from hypermesh.errors import ContractError, NumericError, ShapeError
+from hypermesh.gradcheck import gradcheck
 from hypermesh.manifold import (BallParams, DEFAULT_PARAMS, ball_clamp, expmap0, logmap0,
                                 mobius_add, mobius_matvec, project_to_ball)
 from hypermesh.tensor import Tensor
@@ -107,6 +108,17 @@ def test_project_to_ball_cases():
     outside = project_to_ball(Tensor([3.0, 4.0]))
     np.testing.assert_allclose(outside.data, [0.599994, 0.799992], atol=1e-12)
     np.testing.assert_array_equal(project_to_ball(Tensor(np.zeros(2))).data, np.zeros(2))
+
+
+def test_project_to_ball_leaves_its_operand_writable():
+    # no row is rescaled, so the values pass through; the taped output is a
+    # read-only view, and the operand (a parameter, say) stays writable
+    x = Tensor(np.full((2, 3), 0.1))
+    assert gradcheck(lambda a: project_to_ball(a).sum(), [x]).passed
+    out = project_to_ball(x)
+    assert np.array_equal(out.data, x.data) and not out.data.flags.writeable
+    x.data[0, 0] = 0.2
+    assert x.data[0, 0] == 0.2
 
 
 def test_project_to_ball_rejects_nonfinite():

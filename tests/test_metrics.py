@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hypermesh.errors import ContractError, ShapeError
-from hypermesh.metrics import (accel_error, frame_errors, mpjpe, mpvpe,
-                               pa_mpjpe, similarity_align, write_metric_report)
+from hypermesh.metrics import (accel_error, mpjpe, mpvpe, pa_mpjpe, similarity_align,
+                               write_metric_report)
 
 
 def _rand_seq(rng, t=5, n=6):
@@ -88,18 +88,20 @@ def test_similarity_align_batch_equals_frame_loop():
         assert np.array_equal(batched[t], similarity_align(pred[t], gt[t]))
 
 
-def test_per_frame_metrics_rows():
+def test_per_frame_metrics_rows(tmp_path):
+    # each frame row holds the scalar metrics of that frame's slice, as the
+    # report writes them: 12 significant digits
     rng = np.random.default_rng(5)
     gt = _rand_seq(rng, t=3)
     pred = gt + 0.001
-    cols = frame_errors(pred, gt, pred, gt)
-    assert list(cols) == ["mpjpe_mm", "pa_mpjpe_mm", "mpvpe_mm"]
-    assert all(c.shape == (3,) and np.all(np.isfinite(c)) for c in cols.values())
-    for t in range(3):
+    path = tmp_path / "report.csv"
+    write_metric_report(path, pred, gt, pred, gt)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:-1]]
+    assert len(rows) == 3
+    for t, row in enumerate(rows):
         one = [pred[t:t + 1], gt[t:t + 1]]
-        assert cols["mpjpe_mm"][t] == mpjpe(*one)
-        assert cols["pa_mpjpe_mm"][t] == pa_mpjpe(*one)
-        assert cols["mpvpe_mm"][t] == mpvpe(*one)
+        assert row == [str(t)] + [f"{m(*one):.12g}" for m in (mpjpe, pa_mpjpe, mpvpe)]
+        assert all(np.isfinite(float(v)) for v in row[1:])
 
 
 def test_metric_report_csv(tmp_path):

@@ -325,6 +325,22 @@ def test_template_is_trainable_and_ball_params_counted():
     assert len(balls) == 4 and all(b.shape[:2] == (2, 1) for b in balls)
 
 
+def test_a_frozen_pipeline_keeps_every_parameter():
+    # predict freezes the pipeline; requires_grad decides only what is taped,
+    # so the parameters, ball parameters and checkpoint stay as they were
+    cfg = _small_cfg()
+    scene = synth_generate(cfg)
+    pipe, frozen = build_pipeline(cfg, scene), build_pipeline(cfg, scene)
+    for param in frozen.parameters():
+        param.requires_grad = False
+    for get in (Module.parameters, Module.ball_parameters):
+        assert [p.data.tobytes() for p in get(frozen)] == [p.data.tobytes() for p in get(pipe)]
+    want, got = pipe.state_dict(), frozen.state_dict()
+    assert list(got) == list(want)
+    assert all(got[k].shape == v.shape and got[k].tobytes() == v.tobytes()
+               for k, v in want.items())
+
+
 def test_opt_block_zero_weights_zero_head_outputs_zero_mesh():
     cfg = _small_cfg()
     scene = synth_generate(cfg)
@@ -333,7 +349,7 @@ def test_opt_block_zero_weights_zero_head_outputs_zero_mesh():
     for p in block.parameters():
         p.data = np.zeros_like(p.data)
     out = block(Tensor(np.zeros((cfg.n_coarse, 3))),
-                Tensor(np.zeros(cfg.feat_dim)),
+                Tensor(np.zeros((1, cfg.feat_dim))),
                 Tensor(np.zeros((2, cfg.n_joints, 3))))
     np.testing.assert_allclose(out.data, np.zeros((2, cfg.n_coarse, 3)), atol=1e-12)
 
@@ -347,7 +363,7 @@ def test_weight_tied_blocks_match_on_identical_streams():
                           for k, v in state.items()})
     rng = np.random.default_rng(11)
     m = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
-    tm = Tensor(rng.normal(size=cfg.feat_dim) * 0.2)
+    tm = Tensor(rng.normal(size=(1, cfg.feat_dim)) * 0.2)
     pose = rng.normal(size=(cfg.n_joints, 3)) * 0.3
     out = pipe.blocks(m, tm, Tensor(np.stack([pose, pose]))).data
     np.testing.assert_array_equal(out[0], out[1])
@@ -365,7 +381,7 @@ def test_opt_block_matches_composition_reference():
     block = build_pipeline(cfg, scene).blocks
     rng = np.random.default_rng(12)
     m_init = Tensor(rng.normal(size=(cfg.n_coarse, 3)) * 0.3)
-    tm = Tensor(rng.normal(size=cfg.feat_dim) * 0.2)
+    tm = Tensor(rng.normal(size=(1, cfg.feat_dim)) * 0.2)
     pose = Tensor(rng.normal(size=(2, cfg.n_joints, 3)) * 0.3)
     got = block(m_init, tm, pose).data
 
